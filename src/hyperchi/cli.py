@@ -14,7 +14,8 @@ Verbs:
 
 Inputs are JSON: a file path, ``-`` for stdin, or an inline JSON object.
 Output is JSON by default (``--format text`` for prose).  Exit codes:
-0 success, 1 invalid input, 2 verification mismatch.
+0 success, 1 invalid input, 2 verification mismatch or an internal
+arithmetic error (an exact count that came out fractional).
 """
 
 from __future__ import annotations
@@ -311,8 +312,6 @@ def _cmd_verify(args) -> int:
         objects.append((f"random[{i}]", _random_hypergraph(rng, 5, 4)))
 
     checks = []
-
-    failures = 0
     for name, obj in objects:
         def record(identity: str, passed: bool, name=name):
             checks.append({"input": name, "identity": identity, "passed": bool(passed)})
@@ -398,6 +397,10 @@ def main(argv=None) -> int:
     except (SchemaError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ArithmeticError as exc:
+        # an exact count came out fractional: the routes disagree
+        print(f"error: internal arithmetic error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

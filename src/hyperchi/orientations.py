@@ -15,6 +15,7 @@ edge, and strictly compatible when every head is the unique maximizer.
 from __future__ import annotations
 
 from itertools import product
+from math import comb
 from typing import Iterator, Mapping, Sequence
 
 from .hypergraph import Hypergraph
@@ -32,38 +33,61 @@ def validate_orientation(h: Hypergraph, heads: Sequence[str]) -> tuple:
     return heads
 
 
-def _points_at(edges, heads, i: int, j: int) -> bool:
-    return i != j and heads[i] in edges[j] and heads[i] != heads[j]
+def _bit_edges(h: Hypergraph) -> tuple:
+    """Sorted vertex labels, the bit of each label in that order, and each
+    edge as a mask of those bits."""
+    labels = sorted(h.vertices)
+    bit = {v: 1 << i for i, v in enumerate(labels)}
+    return labels, bit, [sum(bit[v] for v in e) for e in h.edges]
+
+
+def _acyclic_heads(edges: list, allowed: list, width: int) -> Iterator[list]:
+    """Every acyclic choice of one head bit per edge mask, the head of edge
+    i drawn from allowed[i], in lexicographic order (low bits first).
+
+    The yielded list is reused between choices.  Edge i with head h adds
+    the arcs u -> h for the other vertices u of edge i; the edge-index
+    digraph has a cycle iff this vertex digraph has one, since a path of
+    edges i -> j -> ... walks from head to head.  down[v] is the set of
+    vertices reachable from v, v included, so an edge closes a cycle iff
+    its head reaches one of its other vertices.  Partial choices that
+    close a cycle are pruned: the cycle survives every extension.
+    """
+    m = len(edges)
+    if m == 0:
+        yield []
+        return
+    heads = [0] * m
+    downs = [[1 << i for i in range(width)]] + [None] * m
+    left = [allowed[0]] + [0] * (m - 1)
+    k = 0
+    while k >= 0:
+        options = left[k]
+        if not options:
+            k -= 1
+            continue
+        head = options & -options
+        left[k] = options ^ head
+        down = downs[k]
+        tails = edges[k] & ~head
+        reach = down[head.bit_length() - 1]
+        if reach & tails:
+            continue
+        heads[k] = head
+        if k + 1 == m:
+            yield heads
+            continue
+        downs[k + 1] = [d | reach if d & tails else d for d in down] if tails else down
+        k += 1
+        left[k] = allowed[k]
 
 
 def is_acyclic(h: Hypergraph, heads: Sequence[str]) -> bool:
-    """Depth-first search for a cycle on the edge-index digraph."""
+    """Whether the edge-index digraph of the orientation has no cycle."""
     heads = validate_orientation(h, heads)
-    edges = h.edges
-    m = len(edges)
-    state = [0] * m  # 0 unvisited, 1 on stack, 2 done
-    for start in range(m):
-        if state[start]:
-            continue
-        stack = [(start, 0)]
-        state[start] = 1
-        while stack:
-            node, nxt = stack[-1]
-            advanced = False
-            for j in range(nxt, m):
-                if _points_at(edges, heads, node, j):
-                    stack[-1] = (node, j + 1)
-                    if state[j] == 1:
-                        return False
-                    if state[j] == 0:
-                        state[j] = 1
-                        stack.append((j, 0))
-                    advanced = True
-                    break
-            if not advanced:
-                state[node] = 2
-                stack.pop()
-    return True
+    labels, bit, edges = _bit_edges(h)
+    chosen = [bit[v] for v in heads]
+    return next(_acyclic_heads(edges, chosen, len(labels)), None) is not None
 
 
 def all_orientations(h: Hypergraph) -> Iterator[tuple]:
@@ -78,48 +102,15 @@ def orientation_count(h: Hypergraph) -> int:
     return total
 
 
-def _closes_cycle(edges, heads, k: int) -> bool:
-    """Whether edges 0..k with the given heads contain a cycle through k.
-
-    Used to prune partial assignments: a cycle among assigned edges
-    survives in every extension.
-    """
-    stack = [k]
-    seen = {k}
-    while stack:
-        i = stack.pop()
-        for j in range(k + 1):
-            if _points_at(edges, heads, i, j):
-                if j == k:
-                    return True
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-    return False
-
-
 def acyclic_orientations(h: Hypergraph) -> Iterator[tuple]:
     """All acyclic orientations, by backtracking with cycle pruning.
 
     Output order and content match filtering all_orientations through
     is_acyclic.
     """
-    edges = h.edges
-    m = len(edges)
-    choices = [sorted(e) for e in edges]
-    heads: list = [None] * m
-
-    def rec(k: int) -> Iterator[tuple]:
-        if k == m:
-            yield tuple(heads)
-            return
-        for head in choices[k]:
-            heads[k] = head
-            if not _closes_cycle(edges, heads, k):
-                yield from rec(k + 1)
-        heads[k] = None
-
-    return rec(0)
+    labels, _, edges = _bit_edges(h)
+    for heads in _acyclic_heads(edges, edges, len(labels)):
+        yield tuple(labels[b.bit_length() - 1] for b in heads)
 
 
 def colorings(vertices, n: int) -> Iterator[dict]:
@@ -155,33 +146,57 @@ def is_strictly_compatible(
 def count_compatible_pairs(h: Hypergraph, n: int, strict: bool = False) -> int:
     """Number of (acyclic orientation, coloring) pairs that are compatible.
 
-    Iterates over colorings and, for each, over the head assignments that
-    realize the edge maxima; acyclicity of each candidate is memoized.
+    Counted by colour level, not coloring by coloring.  A coloring that
+    uses k of the n colours sets up a strict chain
+    {} < D_1 < ... < D_k = V, where D_i holds the vertices of the i
+    smallest colours used, and C(n, k) colorings share each chain.  An
+    edge belongs to the first level i with the edge inside D_i; its head
+    lies in D_i - D_{i-1} (and is the only vertex there, when strict).
+
+    Level lemma: an arc i -> j of a compatible orientation puts the head
+    of i inside edge j, so the top colour of edge i is at most that of
+    edge j.  Every cycle therefore lies inside one level, and the
+    orientation is acyclic iff each level's head choice is.
+
+    Hence the count is sum_k C(n, k) g_k, where g_k sums over the chains
+    of length k the product of A(D_{i-1}, D_i), and A(lo, hi) counts the
+    acyclic head choices, outside lo, of the edges inside hi but not
+    inside lo.  Chains are pushed from each reachable lo to its
+    supersets, and those at the last level that n colours allow only to
+    the full set: O(|V| 3^|V|) work whatever n is.
     """
     if n < 0:
         raise ValueError("number of colors must be >= 0")
-    edges = h.edges
-    acyclic_memo: dict[tuple, bool] = {}
-
-    def acyclic(heads: tuple) -> bool:
-        hit = acyclic_memo.get(heads)
-        if hit is None:
-            hit = acyclic_memo[heads] = is_acyclic(h, heads)
-        return hit
-
-    total = 0
-    for coloring in colorings(h.vertices, n):
-        argmax = []
-        for e in edges:
-            top = max(coloring[v] for v in e)
-            argmax.append(sorted(v for v in e if coloring[v] == top))
-        if strict:
-            if all(len(a) == 1 for a in argmax):
-                heads = tuple(a[0] for a in argmax)
-                if acyclic(heads):
-                    total += 1
-        else:
-            for heads in product(*argmax):
-                if acyclic(heads):
-                    total += 1
-    return total
+    labels, _, edges = _bit_edges(h)
+    width = len(labels)
+    full = (1 << width) - 1
+    chains: list = [None] * (full + 1)  # chains[lo]: {length k: weighted count}
+    chains[0] = {0: 1}
+    level_ways: dict = {}  # traces of a level's edges -> A of that level
+    for lo in range(full):
+        here = chains[lo]
+        if here is None or min(here) >= n:  # C(n, k) = 0 beyond k = n
+            continue
+        rest = full & ~lo
+        growing = min(here) + 1 < n  # a chain here may step to hi < V
+        sub = rest
+        while sub:
+            hi = lo | sub
+            sub = (sub - 1) & rest if growing else 0
+            traces = tuple(e & ~lo for e in edges if e & ~lo and not e & ~hi)
+            ways = level_ways.get(traces)
+            if ways is None:
+                if strict and any(t & (t - 1) for t in traces):
+                    ways = 0
+                else:
+                    ways = sum(1 for _ in _acyclic_heads(traces, traces, width))
+                level_ways[traces] = ways
+            if not ways:
+                continue
+            into = chains[hi]
+            if into is None:
+                into = chains[hi] = {}
+            for k, count in here.items():
+                if k + 1 < n or hi == full:
+                    into[k + 1] = into.get(k + 1, 0) + count * ways
+    return sum(comb(n, k) * count for k, count in (chains[full] or {}).items())

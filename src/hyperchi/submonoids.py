@@ -225,11 +225,6 @@ class BuildingSet:
         return Hypergraph(self.vertices, sorted(self.sets, key=_edge_key))
 
 
-def validate_building_set(vertices, sets) -> BuildingSet:
-    """Construct a building set, reporting the first violated axiom."""
-    return BuildingSet(vertices, sets)
-
-
 def building_polynomial(b: BuildingSet) -> Polynomial:
     return chi_polynomial(b.to_hypergraph())
 

@@ -5,7 +5,14 @@ from __future__ import annotations
 import random
 from itertools import combinations_with_replacement, product
 
-from hyperchi import Hypergraph
+from hyperchi import (
+    Hypergraph,
+    all_orientations,
+    colorings,
+    is_acyclic,
+    is_compatible,
+    is_strictly_compatible,
+)
 
 
 def nonempty_subsets(labels):
@@ -51,3 +58,16 @@ def all_digraphs(labels):
     arcs = [(u, v) for u in labels for v in labels if u != v]
     for mask in range(1 << len(arcs)):
         yield frozenset(a for i, a in enumerate(arcs) if mask >> i & 1)
+
+
+def count_pairs_bruteforce(h: Hypergraph, n: int, strict: bool = False) -> int:
+    """Count (acyclic orientation, coloring) pairs by trying every
+    orientation against every coloring with {1..n}."""
+    compatible = is_strictly_compatible if strict else is_compatible
+    acyclic = [f for f in all_orientations(h) if is_acyclic(h, f)]
+    return sum(
+        1
+        for coloring in colorings(h.vertices, n)
+        for f in acyclic
+        if compatible(h, f, coloring)
+    )

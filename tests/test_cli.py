@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -186,3 +187,16 @@ def test_parse_object_detects_kind():
         parse_object({"vertices": ["a"], "edges": [], "faces": []})
     with pytest.raises(SchemaError, match="invalid JSON"):
         parse_object("{not json")
+
+
+def test_fractional_count_exits_2(capsys, monkeypatch):
+    # simulate an internal bug: the polynomial takes a non-integer value,
+    # so the exact reciprocal count cannot be formed
+    import hyperchi.invariant as invariant
+    from hyperchi import Polynomial
+
+    monkeypatch.setattr(invariant, "chi_polynomial", lambda h: Polynomial([Fraction(1, 2)]))
+    code, out, err = run(capsys, "verify", "--max-n", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "1/2" in err

@@ -1,10 +1,16 @@
+import time
+
 import pytest
-from conftest import random_hypergraphs
+from conftest import count_pairs_bruteforce, random_hypergraphs
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hyperchi import (
     Hypergraph,
     acyclic_orientations,
     all_orientations,
+    chi_eval_negative,
+    chi_polynomial,
     colorings,
     count_compatible_pairs,
     is_acyclic,
@@ -123,3 +129,44 @@ def test_counts_invariant_under_relabel():
         assert sum(1 for _ in acyclic_orientations(h)) == sum(
             1 for _ in acyclic_orientations(relabeled)
         )
+
+
+# non-ASCII labels sort by code point, so their bits come in that order
+LABELS = ("a", "b", "z9", "é", "Ω", "字")
+
+
+@st.composite
+def small_hypergraphs(draw, max_vertices=5, max_edges=4):
+    """Hypergraphs with possibly repeated or singleton edges and isolated
+    vertices, the empty one included."""
+    vertices = draw(st.lists(st.sampled_from(LABELS), unique=True, max_size=max_vertices))
+    if not vertices:
+        return Hypergraph(())
+    edge = st.frozensets(st.sampled_from(vertices), min_size=1)
+    return Hypergraph(vertices, draw(st.lists(edge, max_size=max_edges)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_hypergraphs(), st.integers(min_value=0, max_value=3))
+@example(Hypergraph(()), 0)
+@example(Hypergraph(()), 2)
+@example(Hypergraph("ab", [{"a", "b"}, {"a", "b"}, {"a"}]), 3)
+@example(Hypergraph(["é", "Ω", "字", "a"], [{"é", "Ω"}, {"Ω", "字"}, {"字"}]), 3)
+def test_pair_counts_match_bruteforce(h, n):
+    for strict in (False, True):
+        assert count_compatible_pairs(h, n, strict=strict) == count_pairs_bruteforce(
+            h, n, strict=strict
+        ), (h, n, strict)
+
+
+def test_pair_counts_at_many_colors():
+    labels = [f"v{i}" for i in range(7)]
+    c3_7 = Hypergraph(labels, [{labels[i], labels[(i + 1) % 7], labels[(i + 2) % 7]}
+                               for i in range(7)])
+    start = time.perf_counter()
+    loose = count_compatible_pairs(c3_7, 40)
+    strict = count_compatible_pairs(c3_7, 40, strict=True)
+    elapsed = time.perf_counter() - start
+    assert loose == chi_eval_negative(c3_7, 40)
+    assert strict == chi_polynomial(c3_7)(40)
+    assert elapsed < 1.0
