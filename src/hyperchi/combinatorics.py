@@ -82,14 +82,18 @@ def composition_degree(parts: Sequence[int]) -> int:
 
 @lru_cache(maxsize=None)
 def _f_polynomial_cached(parts: tuple) -> Polynomial:
-    poly = Polynomial.ONE
-    for p in parts:
-        # next chain variable contributes sum_{k<n} k^p * poly(k), degree e -> p+e+1
-        poly = sum(
-            (c * power_sum_polynomial(p + e) for e, c in enumerate(poly.coeffs) if c),
-            Polynomial.ZERO,
-        )
-    return poly
+    """F_{p_1..p_t}(n) = sum_{k<n} k^{p_t} * F_{p_1..p_{t-1}}(k), built from the
+    cached polynomial of the prefix, so tuples sharing a prefix share its
+    work; the empty tuple gives 1."""
+    if not parts:
+        return Polynomial.ONE
+    prefix = _f_polynomial_cached(parts[:-1])
+    p = parts[-1]
+    # the last chain variable turns c*n^e into c*power_sum(p+e), degree p+e+1
+    return sum(
+        (c * power_sum_polynomial(p + e) for e, c in enumerate(prefix.coeffs) if c),
+        Polynomial.ZERO,
+    )
 
 
 def f_polynomial(parts: Sequence[int]) -> Polynomial:

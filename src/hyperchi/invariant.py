@@ -31,8 +31,11 @@ from .compositions import (
     is_acyclic_arcs,
 )
 from .hypergraph import FormalSum, Hypergraph
-from .orientations import acyclic_orientations, colorings
+from .orientations import _bit_edges, acyclic_orientations, colorings
 from .polynomial import Polynomial
+
+# Entries kept by each cache keyed on a whole hypergraph.
+CACHE_SIZE = 1024
 
 
 class ConstraintSystem:
@@ -90,7 +93,7 @@ def constrained_compositions(
             yield comp
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def chi_eval_definition(h: Hypergraph, n: int) -> int:
     """The defining sum: count length-n splits with all pieces discrete."""
     if n < 0:
@@ -123,7 +126,7 @@ def chi_eval_colorings(h: Hypergraph, n: int) -> int:
     return count
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def chi_polynomial(h: Hypergraph) -> Polynomial:
     """Exact invariant polynomial via the acyclic-orientation expansion.
 
@@ -133,24 +136,56 @@ def chi_polynomial(h: Hypergraph) -> Polynomial:
     P_i that are neither heads nor already collected; the term is the
     strict-chain power sum with the layer sizes as exponents (zero sizes
     are kept: they still occupy a strictly increasing slot).
+
+    The compositions are generated, not filtered: with vertices as bits,
+    the next block is any nonempty subset of the unplaced heads whose
+    constraint predecessors (the other heads in the edges they head) are
+    all placed, which is the strict order of ``constrained_compositions``.
+    Each layer's size comes from masks as its block is chosen.  The
+    exponent tuples are tallied over all orientations, and each distinct
+    tuple's power sum is added once, times its count.
     """
+    _, bit, edges = _bit_edges(h)
+    tally: dict = {}
+    for orientation in acyclic_orientations(h):
+        heads = [bit[v] for v in orientation]
+        head_set = 0
+        for head in heads:
+            head_set |= head
+        before: dict = {}  # head -> heads that must sit in earlier blocks
+        reach: dict = {}  # head -> vertices of the edges it heads
+        for head, edge in zip(heads, edges):
+            before[head] = before.get(head, 0) | edge & head_set & ~head
+            reach[head] = reach.get(head, 0) | edge
+        _tally_layers(before, reach, head_set, 0, head_set, (), tally)
     total = Polynomial.ZERO
-    for heads in acyclic_orientations(h):
-        head_set = frozenset(heads)
-        system = ConstraintSystem.from_orientation(h, heads)
-        for comp in constrained_compositions(system, strict=True):
-            used = set(head_set)
-            exponents = []
-            for block in comp:
-                layer = set()
-                for head, edge in zip(heads, h.edges):
-                    if head in block:
-                        layer |= edge
-                layer -= used
-                used |= layer
-                exponents.append(len(layer))
-            total = total + f_polynomial(exponents)
+    for exponents, count in tally.items():
+        total = total + count * f_polynomial(exponents)
     return total.shift(len(h.isolated_vertices()))
+
+
+def _tally_layers(before, reach, head_set, placed, used, exponents, tally) -> None:
+    """Count, into tally, the exponent tuples of every strict composition of
+    the heads not yet placed, after the blocks that placed ``placed``
+    and collected ``used``."""
+    if placed == head_set:
+        tally[exponents] = tally.get(exponents, 0) + 1
+        return
+    ready = 0
+    for head, need in before.items():
+        if not head & placed and not need & ~placed:
+            ready |= head
+    block = ready
+    while block:
+        swept = 0
+        rest = block
+        while rest:
+            head = rest & -rest
+            swept |= reach[head]
+            rest ^= head
+        _tally_layers(before, reach, head_set, placed | block, used | swept,
+                      exponents + ((swept & ~used).bit_count(),), tally)
+        block = (block - 1) & ready
 
 
 def chi_eval_negative(h: Hypergraph, n: int) -> int:

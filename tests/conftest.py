@@ -5,10 +5,17 @@ from __future__ import annotations
 import random
 from itertools import combinations_with_replacement, product
 
+from hypothesis import strategies as st
+
 from hyperchi import (
+    ConstraintSystem,
     Hypergraph,
+    Polynomial,
+    acyclic_orientations,
     all_orientations,
     colorings,
+    constrained_compositions,
+    f_polynomial,
     is_acyclic,
     is_compatible,
     is_strictly_compatible,
@@ -43,6 +50,21 @@ def random_hypergraphs(count: int, n_vertices: int, max_edges: int, seed: int):
         yield Hypergraph(labels, edges)
 
 
+# non-ASCII labels sort by code point, so their bits come in that order
+LABELS = ("a", "b", "z9", "é", "Ω", "字")
+
+
+@st.composite
+def small_hypergraphs(draw, max_vertices=5, max_edges=4):
+    """Hypergraphs with possibly repeated or singleton edges and isolated
+    vertices, the empty one included."""
+    vertices = draw(st.lists(st.sampled_from(LABELS), unique=True, max_size=max_vertices))
+    if not vertices:
+        return Hypergraph(())
+    edge = st.frozensets(st.sampled_from(vertices), min_size=1)
+    return Hypergraph(vertices, draw(st.lists(edge, max_size=max_edges)))
+
+
 def count_surjections_direct(n: int, m: int) -> int:
     """Enumerate all maps [m] -> [n] and keep the surjective ones."""
     total = 0
@@ -71,3 +93,25 @@ def count_pairs_bruteforce(h: Hypergraph, n: int, strict: bool = False) -> int:
         for f in acyclic
         if compatible(h, f, coloring)
     )
+
+
+def chi_polynomial_filtered(h: Hypergraph) -> Polynomial:
+    """The closed form by filtering: every acyclic orientation, every
+    composition of its heads that ``constrained_compositions`` keeps, and
+    one power sum per composition, its layers swept up label by label."""
+    total = Polynomial.ZERO
+    for heads in acyclic_orientations(h):
+        system = ConstraintSystem.from_orientation(h, heads)
+        for comp in constrained_compositions(system, strict=True):
+            used = set(system.heads)
+            exponents = []
+            for block in comp:
+                layer = set()
+                for head, edge in zip(heads, h.edges):
+                    if head in block:
+                        layer |= edge
+                layer -= used
+                used |= layer
+                exponents.append(len(layer))
+            total = total + f_polynomial(exponents)
+    return total.shift(len(h.isolated_vertices()))

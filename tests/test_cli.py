@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -41,6 +42,23 @@ def test_orientations_verb(capsys):
     payload = json.loads(out)
     assert payload["total"] == 9 and payload["acyclic"] == 7
     assert len(payload["orientations"]) == 7
+
+
+def test_orientations_count_streams(capsys):
+    # without --list the 5,040 acyclic orientations of K_7 are counted,
+    # not kept
+    labels = [f"v{i}" for i in range(7)]
+    edges = [[a, b] for i, a in enumerate(labels) for b in labels[i + 1:]]
+    k7 = json.dumps({"vertices": labels, "edges": edges})
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "orientations", k7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert out == '{"acyclic": 5040, "total": 2097152}\n'
+    assert peak < 600_000
 
 
 def test_orientations_pair_counts(capsys):

@@ -10,6 +10,7 @@ from hyperchi import (
     alternating_binomial_sum,
     bernoulli,
     coarsenings,
+    combinatorics,
     composition_degree,
     enumerate_set_compositions,
     f_eval_bruteforce,
@@ -131,6 +132,22 @@ def test_f_polynomial_matches_bruteforce():
         poly = f_polynomial(parts)
         for n in range(7):
             assert poly(n) == f_eval_bruteforce(parts, n), (parts, n)
+
+
+def test_f_polynomial_from_prefixes_in_either_order():
+    # every tuple of up to 4 parts in 0..3, pinned at degree + 1 points;
+    # built shortest-first (each prefix cached before it is needed) and
+    # longest-first (each prefix built on the way down)
+    tuples = [t for k in range(5) for t in product(range(4), repeat=k)]
+    expected = {
+        t: [f_eval_bruteforce(t, n) for n in range(composition_degree(t) + 1)]
+        for t in tuples
+    }
+    for order in (tuples, tuples[::-1]):
+        combinatorics._f_polynomial_cached.cache_clear()
+        for t in order:
+            poly = f_polynomial(t)
+            assert [poly(n) for n in range(len(expected[t]))] == expected[t], t
 
 
 def test_f_polynomial_degree_and_constant():

@@ -1,7 +1,14 @@
+import time
 from fractions import Fraction
 
 import pytest
-from conftest import exhaustive_hypergraphs, random_hypergraphs
+from conftest import (
+    chi_polynomial_filtered,
+    exhaustive_hypergraphs,
+    random_hypergraphs,
+    small_hypergraphs,
+)
+from hypothesis import example, given, settings
 
 from hyperchi import (
     ConstraintSystem,
@@ -14,6 +21,7 @@ from hyperchi import (
     chi_eval_negative,
     chi_on_formal_sum,
     chi_polynomial,
+    combinatorics,
     constrained_compositions,
     count_compatible_pairs,
     disjoint_union,
@@ -155,3 +163,53 @@ def test_zero_layer_sizes_are_kept():
     triangle = Hypergraph("abc", [{"a", "b"}, {"b", "c"}, {"a", "c"}])
     assert chi_polynomial(triangle) == 6 * f_polynomial((1, 0))
     assert 6 * f_polynomial((1,)) != chi_polynomial(triangle)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_hypergraphs())
+@example(Hypergraph(()))
+@example(EXAMPLE_H)
+@example(Hypergraph("ab", [{"a", "b"}, {"a", "b"}, {"a"}]))
+@example(Hypergraph(["é", "Ω", "字", "a"], [{"é", "Ω"}, {"Ω", "字"}, {"字", "a", "é"}]))
+def test_chi_polynomial_matches_filtered_compositions(h):
+    poly = chi_polynomial(h)
+    assert poly == chi_polynomial_filtered(h), h
+    for n in range(4):
+        assert poly(n) == chi_eval_colorings(h, n), (h, n)
+
+
+def _path(k):
+    labels = [f"v{i}" for i in range(k)]
+    return Hypergraph(labels, [{labels[i], labels[i + 1]} for i in range(k - 1)])
+
+
+def _cyclic_3_uniform(k):
+    labels = [f"v{i}" for i in range(k)]
+    return Hypergraph(labels, [{labels[i], labels[(i + 1) % k], labels[(i + 2) % k]}
+                               for i in range(k)])
+
+
+@pytest.mark.parametrize("h", [_path(8), _cyclic_3_uniform(9)], ids=["P_8", "C3_9"])
+def test_closed_form_from_cold_caches(h):
+    chi_polynomial.cache_clear()
+    combinatorics._f_polynomial_cached.cache_clear()
+    combinatorics.power_sum_polynomial.cache_clear()
+    start = time.perf_counter()
+    poly = chi_polynomial(h)
+    elapsed = time.perf_counter() - start
+    assert poly.degree == len(h.vertices) and poly.leading_coefficient == 1
+    assert (-1) ** len(h.vertices) * poly(-1) == sum(1 for _ in acyclic_orientations(h))
+    assert elapsed < 2.0
+
+
+def test_whole_hypergraph_caches_are_bounded():
+    chi_polynomial.cache_clear()
+    chi_eval_definition.cache_clear()
+    for i in range(1100):
+        h = Hypergraph([f"v{i}"])
+        chi_polynomial(h)
+        chi_eval_definition(h, 1)
+    for cached in (chi_polynomial, chi_eval_definition):
+        info = cached.cache_info()
+        assert info.maxsize == 1024 and info.currsize == 1024
+        cached.cache_clear()

@@ -1,7 +1,7 @@
 import time
 
 import pytest
-from conftest import count_pairs_bruteforce, random_hypergraphs
+from conftest import count_pairs_bruteforce, random_hypergraphs, small_hypergraphs
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -129,21 +129,6 @@ def test_counts_invariant_under_relabel():
         assert sum(1 for _ in acyclic_orientations(h)) == sum(
             1 for _ in acyclic_orientations(relabeled)
         )
-
-
-# non-ASCII labels sort by code point, so their bits come in that order
-LABELS = ("a", "b", "z9", "é", "Ω", "字")
-
-
-@st.composite
-def small_hypergraphs(draw, max_vertices=5, max_edges=4):
-    """Hypergraphs with possibly repeated or singleton edges and isolated
-    vertices, the empty one included."""
-    vertices = draw(st.lists(st.sampled_from(LABELS), unique=True, max_size=max_vertices))
-    if not vertices:
-        return Hypergraph(())
-    edge = st.frozensets(st.sampled_from(vertices), min_size=1)
-    return Hypergraph(vertices, draw(st.lists(edge, max_size=max_edges)))
 
 
 @settings(max_examples=150, deadline=None)
