@@ -22,6 +22,7 @@ from .combinatorics import (
 from .compositions import (
     SetComposition,
     SetDecomposition,
+    colorings,
     enumerate_decompositions,
     enumerate_set_compositions,
     refinements,
@@ -49,7 +50,6 @@ from .invariant import (
 from .orientations import (
     acyclic_orientations,
     all_orientations,
-    colorings,
     count_compatible_pairs,
     is_acyclic,
     is_compatible,

@@ -14,8 +14,9 @@ Verbs:
 
 Inputs are JSON: a file path, ``-`` for stdin, or an inline JSON object.
 Output is JSON by default (``--format text`` for prose).  Exit codes:
-0 success, 1 invalid input, 2 verification mismatch or an internal
-arithmetic error (an exact count that came out fractional).
+0 success, 1 invalid input or command-line usage, 2 verification
+mismatch or an internal arithmetic error (an exact count that came out
+fractional).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .invariant import (
     chi_on_formal_sum,
     chi_polynomial,
 )
-from .jsonio import SchemaError, as_graph, parse_object, serialize
+from .jsonio import SchemaError, as_graph, load_json, parse_object, serialize
 from .orientations import acyclic_orientations, count_compatible_pairs, orientation_count
 from .polynomial import Polynomial
 from .submonoids import (
@@ -186,9 +187,9 @@ def _cmd_path(args) -> int:
     alpha = _expect(_load(args.input), PathFamily, "a path family ('paths')")
     if args.coproduct is not None:
         try:
-            block = json.loads(args.coproduct)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"--coproduct: invalid JSON: {exc}") from None
+            block = load_json(args.coproduct)
+        except SchemaError as exc:
+            raise SchemaError(f"--coproduct: {exc}") from None
         if not isinstance(block, list) or not all(isinstance(v, str) for v in block):
             raise SchemaError("--coproduct expects a JSON array of vertex labels")
         left, right = path_coproduct(alpha, block)
@@ -391,7 +392,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a usage error, but 2 is
+        # reserved for disagreements: a usage error is invalid input
+        if exc.code == 0:
+            raise
+        return 1
     try:
         return args.func(args)
     except (SchemaError, ValueError, OSError) as exc:

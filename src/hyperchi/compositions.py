@@ -4,7 +4,11 @@ A decomposition is a sequence of pairwise disjoint blocks whose union is
 the ground set; empty blocks are allowed.  A composition additionally
 forbids empty blocks.  Length-n decompositions are in bijection with
 functions from the ground set to {1, ..., n} (block i = preimage of i+1),
-which is how colorings are enumerated elsewhere.
+so both are enumerated by one loop, ``colorings``.
+
+The one cycle test, the bitmask backtracker ``_acyclic_heads``, lives
+here as the lowest module that needs it: ``is_acyclic_arcs`` runs it on
+arc sets and ``orientations`` on head choices of hypergraph edges.
 
 Vertex labels are strings; every enumeration order is derived from the
 lexicographic order on labels so output is deterministic.
@@ -125,16 +129,19 @@ def enumerate_set_compositions(ground: Iterable[str]) -> Iterator[SetComposition
         yield SetComposition(blocks, ground)
 
 
+def colorings(vertices, n: int) -> Iterator[dict]:
+    """All maps from the vertices to {1..n}, in lexicographic label order."""
+    labels = sorted(vertices)
+    for combo in product(range(1, n + 1), repeat=len(labels)):
+        yield dict(zip(labels, combo))
+
+
 def enumerate_decompositions(ground: Iterable[str], n: int) -> Iterator[SetDecomposition]:
-    """All n^|ground| decompositions of length n (functions to {1..n})."""
+    """All n^|ground| decompositions of length n, in the order of ``colorings``."""
     if n < 0:
         raise ValueError("length must be >= 0")
-    labels = sorted(frozenset(ground))
-    for colors in product(range(n), repeat=len(labels)):
-        blocks: list[list] = [[] for _ in range(n)]
-        for v, c in zip(labels, colors):
-            blocks[c].append(v)
-        yield SetDecomposition(blocks, frozenset(labels))
+    for coloring in colorings(frozenset(ground), n):
+        yield from_coloring(coloring, n)
 
 
 def refinements(comp: SetComposition) -> Iterator[SetComposition]:
@@ -181,27 +188,64 @@ def shuffles(p: SetComposition, q: SetComposition) -> Iterator[SetComposition]:
             yield SetComposition(blocks, ground)
 
 
+def _acyclic_heads(edges: list, allowed: list, width: int) -> Iterator[list]:
+    """Every acyclic choice of one head bit per edge mask, the head of edge
+    i drawn from allowed[i], in lexicographic order (low bits first).
+
+    The yielded list is reused between choices.  Edge i with head h adds
+    the arcs u -> h for the other vertices u of edge i; the edge-index
+    digraph has a cycle iff this vertex digraph has one, since a path of
+    edges i -> j -> ... walks from head to head.  down[v] is the set of
+    vertices reachable from v, v included, so an edge closes a cycle iff
+    its head reaches one of its other vertices.  Partial choices that
+    close a cycle are pruned: the cycle survives every extension.
+    """
+    m = len(edges)
+    if m == 0:
+        yield []
+        return
+    heads = [0] * m
+    downs = [[1 << i for i in range(width)]] + [None] * m
+    left = [allowed[0]] + [0] * (m - 1)
+    k = 0
+    while k >= 0:
+        options = left[k]
+        if not options:
+            k -= 1
+            continue
+        head = options & -options
+        left[k] = options ^ head
+        down = downs[k]
+        tails = edges[k] & ~head
+        reach = down[head.bit_length() - 1]
+        if reach & tails:
+            continue
+        heads[k] = head
+        if k + 1 == m:
+            yield heads
+            continue
+        downs[k + 1] = [d | reach if d & tails else d for d in down] if tails else down
+        k += 1
+        left[k] = allowed[k]
+
+
 def is_acyclic_arcs(vertices: Iterable[str], arcs: Iterable[tuple]) -> bool:
-    """Whether the arc set is a DAG on the given vertices (Kahn's algorithm)."""
-    vertices = set(vertices)
-    succ: dict[str, set] = {v: set() for v in vertices}
-    indeg = {v: 0 for v in vertices}
+    """Whether the arc set is a DAG on the given vertices.
+
+    Arc u -> w is the edge {u, w} with head w, so the arcs are acyclic
+    iff ``_acyclic_heads`` accepts that one head choice.  A self-loop is
+    a cycle.
+    """
+    bit = {v: 1 << i for i, v in enumerate(frozenset(vertices))}
+    edges, heads = [], []
     for u, w in arcs:
-        if u not in vertices or w not in vertices:
+        if u not in bit or w not in bit:
             raise ValueError(f"arc ({u!r}, {w!r}) leaves the vertex set")
-        if w not in succ[u]:
-            succ[u].add(w)
-            indeg[w] += 1
-    queue = [v for v in vertices if indeg[v] == 0]
-    seen = 0
-    while queue:
-        v = queue.pop()
-        seen += 1
-        for w in succ[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    return seen == len(vertices)
+        edges.append(bit[u] | bit[w])
+        heads.append(bit[w])
+    if any(edge == head for edge, head in zip(edges, heads)):
+        return False
+    return next(_acyclic_heads(edges, heads, len(bit)), None) is not None
 
 
 def signed_constrained_sum(

@@ -208,12 +208,8 @@ def antipode(h: Hypergraph) -> FormalSum:
         return FormalSum.of(h)
     acc: dict[Hypergraph, int] = {}
     for comp in enumerate_set_compositions(h.vertices):
-        edges: tuple = ()
-        rest = h
-        for block in comp:
-            edges += rest.restrict(block).edges
-            rest = rest.contract(block)
-        term = Hypergraph(h.vertices, edges)
+        pieces = iterated_coproduct(h, comp)
+        term = Hypergraph(h.vertices, [e for piece in pieces for e in piece.edges])
         sign = (-1) ** len(comp)
         acc[term] = acc.get(term, 0) + sign
     return FormalSum(acc, h.vertices)
@@ -227,19 +223,24 @@ def to_json_dict(h: Hypergraph) -> dict:
     }
 
 
+def _json_vertices(data: dict) -> list:
+    """The "vertices" array of a JSON object, checked to hold distinct strings."""
+    vertices = data.get("vertices")
+    if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
+        raise ValueError("'vertices' must be an array of strings")
+    if len(set(vertices)) != len(vertices):
+        dup = sorted(v for v in set(vertices) if vertices.count(v) > 1)
+        raise ValueError(f"duplicate vertex labels: {dup}")
+    return vertices
+
+
 def from_json_dict(data) -> Hypergraph:
     if not isinstance(data, dict):
         raise ValueError("hypergraph JSON must be an object")
     for key in ("vertices", "edges"):
         if key not in data:
             raise ValueError(f"missing {key!r}")
-    vertices = data["vertices"]
-    if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
-        raise ValueError("'vertices' must be an array of strings")
-    if len(set(vertices)) != len(vertices):
-        dup = sorted(v for v in set(vertices) if vertices.count(v) > 1)
-        raise ValueError(f"duplicate vertex labels: {dup}")
-    vset = frozenset(vertices)
+    vset = frozenset(_json_vertices(data))
     edges = data["edges"]
     if not isinstance(edges, list):
         raise ValueError("'edges' must be an array")

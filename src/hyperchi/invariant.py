@@ -26,12 +26,13 @@ from typing import Iterator, Optional, Union
 from .combinatorics import f_polynomial
 from .compositions import (
     SetComposition,
+    colorings,
     enumerate_decompositions,
     enumerate_set_compositions,
     is_acyclic_arcs,
 )
-from .hypergraph import FormalSum, Hypergraph
-from .orientations import _bit_edges, acyclic_orientations, colorings
+from .hypergraph import FormalSum, Hypergraph, iterated_coproduct
+from .orientations import _bit_edges, acyclic_orientations
 from .polynomial import Polynomial
 
 # Entries kept by each cache keyed on a whole hypergraph.
@@ -98,17 +99,10 @@ def chi_eval_definition(h: Hypergraph, n: int) -> int:
     """The defining sum: count length-n splits with all pieces discrete."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    count = 0
-    for decomp in enumerate_decompositions(h.vertices, n):
-        rest = h
-        for block in decomp:
-            piece = rest.restrict(block)
-            if not piece.is_discrete():
-                break
-            rest = rest.contract(block)
-        else:
-            count += 1
-    return count
+    return sum(
+        all(piece.is_discrete() for piece in iterated_coproduct(h, decomp))
+        for decomp in enumerate_decompositions(h.vertices, n)
+    )
 
 
 def chi_eval_colorings(h: Hypergraph, n: int) -> int:

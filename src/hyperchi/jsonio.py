@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 
-from .hypergraph import Hypergraph, from_json_dict, to_json_dict
+from .hypergraph import Hypergraph, from_json_dict, _json_vertices, to_json_dict
 from .submonoids import (
     BuildingSet,
     PathFamily,
@@ -55,16 +55,6 @@ def _string_lists(data: dict, key: str, allow_empty_inner: bool = False) -> list
     return out
 
 
-def _vertices(data: dict) -> list:
-    vs = data.get("vertices")
-    if not isinstance(vs, list) or not all(isinstance(v, str) for v in vs):
-        raise SchemaError("'vertices' must be an array of strings")
-    if len(set(vs)) != len(vs):
-        dup = sorted(v for v in set(vs) if vs.count(v) > 1)
-        raise SchemaError(f"duplicate vertex labels: {dup}")
-    return vs
-
-
 def detect_kind(data: dict) -> str:
     if not isinstance(data, dict):
         raise SchemaError("input must be a JSON object")
@@ -78,18 +68,24 @@ def detect_kind(data: dict) -> str:
     return kinds[0]
 
 
+def load_json(text: str):
+    """Decode JSON text.  Malformed text, and text nested too deeply for the
+    decoder's recursion, raise SchemaError."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise SchemaError(f"invalid JSON: {exc}") from None
+
+
 def parse_object(data):
     """Parse a dict (or JSON text) into the matching domain object."""
     if isinstance(data, str):
-        try:
-            data = json.loads(data)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON: {exc}") from None
+        data = load_json(data)
     kind = detect_kind(data)
     try:
         if kind == "hypergraph":
             return from_json_dict(data)
-        vertices = _vertices(data)
+        vertices = _json_vertices(data)
         if kind == "complex":
             return SimplicialComplex(vertices, _string_lists(data, "faces", True))
         if kind == "building_set":

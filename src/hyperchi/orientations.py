@@ -18,6 +18,8 @@ from itertools import product
 from math import comb
 from typing import Iterator, Mapping, Sequence
 
+# colorings is re-exported, so orientations.colorings keeps working
+from .compositions import _acyclic_heads, colorings  # noqa: F401
 from .hypergraph import Hypergraph
 
 
@@ -39,47 +41,6 @@ def _bit_edges(h: Hypergraph) -> tuple:
     labels = sorted(h.vertices)
     bit = {v: 1 << i for i, v in enumerate(labels)}
     return labels, bit, [sum(bit[v] for v in e) for e in h.edges]
-
-
-def _acyclic_heads(edges: list, allowed: list, width: int) -> Iterator[list]:
-    """Every acyclic choice of one head bit per edge mask, the head of edge
-    i drawn from allowed[i], in lexicographic order (low bits first).
-
-    The yielded list is reused between choices.  Edge i with head h adds
-    the arcs u -> h for the other vertices u of edge i; the edge-index
-    digraph has a cycle iff this vertex digraph has one, since a path of
-    edges i -> j -> ... walks from head to head.  down[v] is the set of
-    vertices reachable from v, v included, so an edge closes a cycle iff
-    its head reaches one of its other vertices.  Partial choices that
-    close a cycle are pruned: the cycle survives every extension.
-    """
-    m = len(edges)
-    if m == 0:
-        yield []
-        return
-    heads = [0] * m
-    downs = [[1 << i for i in range(width)]] + [None] * m
-    left = [allowed[0]] + [0] * (m - 1)
-    k = 0
-    while k >= 0:
-        options = left[k]
-        if not options:
-            k -= 1
-            continue
-        head = options & -options
-        left[k] = options ^ head
-        down = downs[k]
-        tails = edges[k] & ~head
-        reach = down[head.bit_length() - 1]
-        if reach & tails:
-            continue
-        heads[k] = head
-        if k + 1 == m:
-            yield heads
-            continue
-        downs[k + 1] = [d | reach if d & tails else d for d in down] if tails else down
-        k += 1
-        left[k] = allowed[k]
 
 
 def is_acyclic(h: Hypergraph, heads: Sequence[str]) -> bool:
@@ -111,13 +72,6 @@ def acyclic_orientations(h: Hypergraph) -> Iterator[tuple]:
     labels, _, edges = _bit_edges(h)
     for heads in _acyclic_heads(edges, edges, len(labels)):
         yield tuple(labels[b.bit_length() - 1] for b in heads)
-
-
-def colorings(vertices, n: int) -> Iterator[dict]:
-    """All maps from the vertices to {1..n}, in lexicographic label order."""
-    labels = sorted(vertices)
-    for combo in product(range(1, n + 1), repeat=len(labels)):
-        yield dict(zip(labels, combo))
 
 
 def is_compatible(h: Hypergraph, heads: Sequence[str], coloring: Mapping[str, int]) -> bool:

@@ -339,32 +339,30 @@ class RootedForest:
         return "RootedForest[" + "; ".join(repr(t) for t in self.trees) + "]"
 
 
-def _component_skeletons(b: BuildingSet) -> list:
-    """Skeleton trees of a building set whose vertex set is one component."""
-    labels = sorted(b.vertices)
-    if len(labels) == 1:
-        return [RootedTree(labels[0], {})]
-    out: dict[RootedTree, None] = {}
-    for r in labels:
-        below = [s for s in b.sets if r not in s]
-        maximal = [s for s in below if not any(s < t for t in below)]
-        maximal.sort(key=lambda c: sorted(c))
-        per = [_component_skeletons(b.induced(part)) for part in maximal]
-        for combo in product(*per):
-            parent = {}
+def _partitioning_trees(x) -> list:
+    """Rooted trees of a connected building set or simple graph: a root r
+    over one tree per connected component of x with r deleted.  For a
+    building set those components are the maximal sets avoiding r, for a
+    graph the components of the graph minus r."""
+    trees = []
+    for r in sorted(x.vertices):
+        for combo in _tree_choices(x.induced(x.vertices - {r})):
+            parent = {sub.root: r for sub in combo}
             for sub in combo:
                 parent.update(sub.parent)
-                parent[sub.root] = r
-            out.setdefault(RootedTree(r, parent))
-    return list(out)
+            trees.append(RootedTree(r, parent))
+    return trees
+
+
+def _tree_choices(x) -> Iterator[tuple]:
+    """Every choice of one partitioning tree per connected component of x."""
+    return product(*[_partitioning_trees(x.induced(c)) for c in x.connected_components()])
 
 
 def skeletons(b: BuildingSet) -> Iterator[RootedForest]:
     """All skeleton forests: pick a root per component, recurse on the
-    maximal connected sets avoiding it.  Structurally equal forests from
-    different recursion orders are emitted once."""
-    per_comp = [_component_skeletons(b.induced(c)) for c in b.connected_components()]
-    for combo in product(*per_comp):
+    maximal connected sets avoiding it."""
+    for combo in _tree_choices(b):
         yield RootedForest(combo)
 
 
@@ -443,29 +441,10 @@ def rip_sew_coproduct(w: SimpleGraph, left: Iterable[str], right=None):
     return w.induced(left), SimpleGraph(rest, sewn)
 
 
-def _partitioning_trees(w: SimpleGraph) -> list:
-    """Partitioning trees of a connected simple graph."""
-    labels = sorted(w.vertices)
-    if len(labels) == 1:
-        return [RootedTree(labels[0], {})]
-    out: dict[RootedTree, None] = {}
-    for v in labels:
-        rest = w.induced(w.vertices - {v})
-        per = [_partitioning_trees(rest.induced(c)) for c in rest.connected_components()]
-        for combo in product(*per):
-            parent = {}
-            for sub in combo:
-                parent.update(sub.parent)
-                parent[sub.root] = v
-            out.setdefault(RootedTree(v, parent))
-    return list(out)
-
-
 def partitioning_forests(w: SimpleGraph) -> Iterator[RootedForest]:
     """Delete a vertex per component, recurse on the pieces; the resulting
     forests coincide with the skeletons of the graphical building set."""
-    per_comp = [_partitioning_trees(w.induced(c)) for c in w.connected_components()]
-    for combo in product(*per_comp):
+    for combo in _tree_choices(w):
         yield RootedForest(combo)
 
 

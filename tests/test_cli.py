@@ -165,6 +165,35 @@ def test_invalid_input_exit_code(capsys):
     assert code == 1 and "payload" in err
 
 
+def test_deeply_nested_json_is_invalid_input(capsys):
+    deep = "[" * 100_000
+    code, out, err = run(capsys, "chi", '{"vertices": ' + deep)
+    assert code == 1 and out == ""
+    assert err.startswith("error: invalid JSON: ") and err.count("\n") == 1
+    family = '{"vertices":["a","b"],"paths":[["a","b"]]}'
+    code, out, err = run(capsys, "path", family, "--coproduct", deep)
+    assert code == 1 and out == ""
+    assert err.startswith("error: --coproduct: invalid JSON: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["chi"], ["eval", EXAMPLE_JSON], ["colour", EXAMPLE_JSON]],
+    ids=["missing-input", "missing-at", "unknown-verb"],
+)
+def test_usage_errors_exit_1(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("usage: hyperchi") and "error:" in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: hyperchi")
+
+
 def test_stdin_input(capsys, monkeypatch):
     import io
 

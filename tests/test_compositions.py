@@ -1,6 +1,9 @@
+from itertools import permutations
+
 import pytest
 from conftest import all_digraphs
 
+import hyperchi
 from hyperchi import (
     SetComposition,
     SetDecomposition,
@@ -9,9 +12,10 @@ from hyperchi import (
     refinements,
     shuffles,
     signed_constrained_sum,
+    orientations,
     surjection_count,
 )
-from hyperchi.compositions import from_coloring, is_acyclic_arcs
+from hyperchi.compositions import colorings, from_coloring, is_acyclic_arcs
 
 ORDERED_BELL = [1, 1, 3, 13, 75]
 
@@ -56,6 +60,37 @@ def test_enumerate_decompositions_counts():
     assert len(empties) == 1 and empties[0].blocks == (frozenset(),) * 3
     assert sum(1 for _ in enumerate_decompositions({"a", "b", "c"}, 2)) == 8
     assert sum(1 for _ in enumerate_decompositions({"a"}, 0)) == 0
+
+
+def test_decompositions_come_in_coloring_order():
+    for m in range(4):
+        ground = [f"g{i}" for i in range(m)]
+        for n in range(4):
+            decomps = [d.coloring() for d in enumerate_decompositions(ground, n)]
+            assert decomps == list(colorings(ground, n)), (m, n)
+    assert hyperchi.colorings is orientations.colorings is colorings
+
+
+def _forward_in_some_order(labels, arcs) -> bool:
+    for order in permutations(labels):
+        position = {v: i for i, v in enumerate(order)}
+        if all(position[u] < position[w] for u, w in arcs):
+            return True
+    return False
+
+
+def test_is_acyclic_arcs_matches_bruteforce():
+    for m in range(5):
+        labels = [f"g{i}" for i in range(m)]
+        for arcs in all_digraphs(labels):
+            assert is_acyclic_arcs(labels, arcs) == _forward_in_some_order(labels, arcs), arcs
+    assert not is_acyclic_arcs({"a", "b"}, [("a", "a")])
+    assert not is_acyclic_arcs({"a", "b"}, [("a", "b"), ("b", "b")])
+    assert is_acyclic_arcs({"a", "b"}, [("a", "b"), ("a", "b")])
+    with pytest.raises(ValueError, match="leaves the vertex set"):
+        is_acyclic_arcs({"a"}, [("a", "b")])
+    with pytest.raises(ValueError, match="leaves the vertex set"):
+        is_acyclic_arcs({"a"}, [("a", "a"), ("c", "a")])
 
 
 def test_refinements_match_filter():

@@ -178,6 +178,20 @@ def test_chi_polynomial_matches_filtered_compositions(h):
         assert poly(n) == chi_eval_colorings(h, n), (h, n)
 
 
+@settings(max_examples=100, deadline=None)
+@given(small_hypergraphs(max_vertices=4))
+@example(Hypergraph(()))
+@example(Hypergraph("ab", [{"a", "b"}, {"a", "b"}, {"a"}]))
+@example(Hypergraph(["é", "Ω", "字", "a"], [{"é", "Ω"}, {"Ω", "字"}, {"a"}]))
+def test_split_folds_match_closed_form(h):
+    # the defining sum and the antipode both fold iterated_coproduct
+    poly = chi_polynomial(h)
+    s = antipode(h)
+    for n in range(3):
+        assert chi_eval_definition(h, n) == poly(n), (h, n)
+        assert chi_on_formal_sum(s, n) == poly(-n), (h, n)
+
+
 def _path(k):
     labels = [f"v{i}" for i in range(k)]
     return Hypergraph(labels, [{labels[i], labels[i + 1]} for i in range(k - 1)])
