@@ -300,6 +300,10 @@ def _random_hypergraph(rng: random.Random, n_vertices: int, max_edges: int) -> H
 
 
 def _cmd_verify(args) -> int:
+    if args.max_n < 0:
+        raise SchemaError("--max-n expects a nonnegative number of colors")
+    if args.random < 0:
+        raise SchemaError("--random expects a nonnegative number of instances")
     sources = args.inputs or []
     objects = []
     if sources:

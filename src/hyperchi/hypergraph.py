@@ -1,5 +1,5 @@
 """Hypergraphs with multiset edges, their merge/split operations, and the
-alternating-sum antipode.
+antipode.
 
 A hypergraph is a finite set of string-labeled vertices together with an
 indexed sequence of nonempty vertex subsets (edges).  Edge identity is
@@ -14,13 +14,24 @@ set produces one piece per block: the piece on S_i keeps the traces on
 S_i of the edges that survived the earlier blocks and are not contained
 in them.  Merging is disjoint union.  The antipode is the alternating
 sum, over all compositions of the vertex set, of merge-after-split.
+
+That sum is cancellation-free: merge-after-split keeps each edge's trace
+on the last block it meets, the distinct results are the faces of the
+hypergraphic polytope, and each face survives with coefficient (-1)^c,
+c its number of connected components (isolated vertices count).
+``antipode`` builds the faces directly from vertex masks, so its cost
+follows the number of faces rather than the ordered Bell number of the
+vertex count.  ``_bit_edges`` is the one label-to-bit map the mask
+routes of the package share.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping
 
-from .compositions import SetDecomposition, enumerate_set_compositions
+# enumerate_set_compositions is re-exported, so hypergraph.enumerate_set_compositions
+# keeps resolving for code that looks it up here
+from .compositions import SetDecomposition, enumerate_set_compositions  # noqa: F401
 
 
 class Hypergraph:
@@ -102,6 +113,14 @@ class Hypergraph:
 
 def _edge_key(e: frozenset):
     return (len(e), tuple(sorted(e)))
+
+
+def _bit_edges(h: Hypergraph) -> tuple:
+    """Sorted vertex labels, the bit of each label in that order, and each
+    edge as a mask of those bits."""
+    labels = sorted(h.vertices)
+    bit = {v: 1 << i for i, v in enumerate(labels)}
+    return labels, bit, [sum(bit[v] for v in e) for e in h.edges]
 
 
 def disjoint_union(h1: Hypergraph, h2: Hypergraph) -> Hypergraph:
@@ -198,21 +217,66 @@ class FormalSum:
 
 
 def antipode(h: Hypergraph) -> FormalSum:
-    """Alternating sum over all compositions of merge-after-split.
+    """The antipode, one term per face of the hypergraphic polytope.
 
-    sum over compositions (S_1,...,S_k) of (-1)^k times the disjoint
-    union of the split pieces.  The empty hypergraph is its own antipode.
-    Work grows like the ordered Bell number of the vertex count.
+    Defined as the sum over compositions (S_1,...,S_k) of the vertex set
+    of (-1)^k times the disjoint union of the split pieces.  A term keeps
+    each edge's trace on the last block it meets, so with T the last
+    block, the terms over W are
+    faces(W) = union over nonempty T of
+               {traces on T of the edges inside W that meet T} x faces(W - T),
+    memoised on W for this call.  Each face has coefficient (-1)^c, c its
+    number of connected components, isolated vertices included.  The
+    empty hypergraph is its own antipode.  Work follows the number of
+    faces, not the ordered Bell number of the vertex count.
     """
-    if not h.vertices:
-        return FormalSum.of(h)
-    acc: dict[Hypergraph, int] = {}
-    for comp in enumerate_set_compositions(h.vertices):
-        pieces = iterated_coproduct(h, comp)
-        term = Hypergraph(h.vertices, [e for piece in pieces for e in piece.edges])
-        sign = (-1) ** len(comp)
-        acc[term] = acc.get(term, 0) + sign
-    return FormalSum(acc, h.vertices)
+    labels, _, edges = _bit_edges(h)
+    memo: dict = {0: {()}}
+
+    def faces(w: int) -> set:
+        found = memo.get(w)
+        if found is None:
+            inside = [e for e in edges if not e & ~w]
+            found = set()
+            top = w
+            while top:
+                traces = tuple(e & top for e in inside if e & top)
+                for below in faces(w & ~top):
+                    found.add(tuple(sorted(traces + below)))
+                top = (top - 1) & w
+            memo[w] = found
+        return found
+
+    members: dict = {}  # edge mask -> its labels
+    terms = {}
+    for face in faces((1 << len(labels)) - 1):
+        term_edges = []
+        for e in face:
+            labelled = members.get(e)
+            if labelled is None:
+                labelled = members[e] = [v for i, v in enumerate(labels) if e >> i & 1]
+            term_edges.append(labelled)
+        terms[Hypergraph(h.vertices, term_edges)] = (-1) ** _component_count(face, len(labels))
+    return FormalSum(terms, h.vertices)
+
+
+def _component_count(edges, width: int) -> int:
+    """Connected components of the edge masks over ``width`` vertex bits."""
+    blocks: list = []  # pairwise disjoint unions of edges
+    for e in edges:
+        joined = e
+        apart = []
+        for block in blocks:
+            if block & joined:
+                joined |= block
+            else:
+                apart.append(block)
+        apart.append(joined)
+        blocks = apart
+    covered = 0
+    for block in blocks:
+        covered |= block
+    return len(blocks) + width - covered.bit_count()
 
 
 def to_json_dict(h: Hypergraph) -> dict:

@@ -27,12 +27,11 @@ from .combinatorics import f_polynomial
 from .compositions import (
     SetComposition,
     colorings,
-    enumerate_decompositions,
     enumerate_set_compositions,
     is_acyclic_arcs,
 )
-from .hypergraph import FormalSum, Hypergraph, iterated_coproduct
-from .orientations import _bit_edges, acyclic_orientations
+from .hypergraph import FormalSum, Hypergraph, _bit_edges
+from .orientations import acyclic_orientations
 from .polynomial import Polynomial
 
 # Entries kept by each cache keyed on a whole hypergraph.
@@ -96,13 +95,45 @@ def constrained_compositions(
 
 @lru_cache(maxsize=CACHE_SIZE)
 def chi_eval_definition(h: Hypergraph, n: int) -> int:
-    """The defining sum: count length-n splits with all pieces discrete."""
+    """The defining sum: count length-n splits with all pieces discrete.
+
+    The blocks of a split are chosen left to right as submasks (empty
+    ones included) of the vertices not yet placed, the last block taking
+    all that remain.  The piece on a block holds the traces of the edges
+    that first fit inside the placed set once the block is added, so it
+    is discrete iff each of those traces has at most one vertex.  A split
+    is dropped at its first non-discrete piece, together with every
+    split sharing that prefix.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
-    return sum(
-        all(piece.is_discrete() for piece in iterated_coproduct(h, decomp))
-        for decomp in enumerate_decompositions(h.vertices, n)
-    )
+    labels, _, edges = _bit_edges(h)
+    full = (1 << len(labels)) - 1
+
+    def discrete(placed: int, block: int) -> bool:
+        for e in edges:
+            if e & block and not e & ~(placed | block):
+                trace = e & block
+                if trace & (trace - 1):
+                    return False
+        return True
+
+    def splits(placed: int, left: int) -> int:
+        rest = full & ~placed
+        if left == 1:
+            return int(discrete(placed, rest))
+        count = 0
+        block = rest
+        while True:
+            if discrete(placed, block):
+                count += splits(placed | block, left - 1)
+            if not block:
+                return count
+            block = (block - 1) & rest
+
+    if n == 0:
+        return int(not full)
+    return splits(0, n)
 
 
 def chi_eval_colorings(h: Hypergraph, n: int) -> int:

@@ -20,7 +20,7 @@ from typing import Iterator, Mapping, Sequence
 
 # colorings is re-exported, so orientations.colorings keeps working
 from .compositions import _acyclic_heads, colorings  # noqa: F401
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, _bit_edges
 
 
 def validate_orientation(h: Hypergraph, heads: Sequence[str]) -> tuple:
@@ -33,14 +33,6 @@ def validate_orientation(h: Hypergraph, heads: Sequence[str]) -> tuple:
         if head not in edge:
             raise ValueError(f"head {head!r} of edge {i} is not one of its vertices")
     return heads
-
-
-def _bit_edges(h: Hypergraph) -> tuple:
-    """Sorted vertex labels, the bit of each label in that order, and each
-    edge as a mask of those bits."""
-    labels = sorted(h.vertices)
-    bit = {v: 1 << i for i, v in enumerate(labels)}
-    return labels, bit, [sum(bit[v] for v in e) for e in h.edges]
 
 
 def is_acyclic(h: Hypergraph, heads: Sequence[str]) -> bool:

@@ -218,8 +218,15 @@ class BuildingSet:
         return tuple(sorted(maximal, key=lambda c: sorted(c)))
 
     def induced(self, subset: Iterable[str]) -> "BuildingSet":
+        """The members inside the subset.  They form a building set by
+        construction, so the union axiom is not checked again."""
         sub = frozenset(subset)
-        return BuildingSet(sub, [s for s in self.sets if s <= sub])
+        if not sub <= self.vertices:
+            raise ValueError("not a subset of the vertices")
+        induced = object.__new__(BuildingSet)
+        induced.vertices = sub
+        induced.sets = frozenset(s for s in self.sets if s <= sub)
+        return induced
 
     def to_hypergraph(self) -> Hypergraph:
         return Hypergraph(self.vertices, sorted(self.sets, key=_edge_key))
@@ -339,14 +346,16 @@ class RootedForest:
         return "RootedForest[" + "; ".join(repr(t) for t in self.trees) + "]"
 
 
-def _partitioning_trees(x) -> list:
+def _partitioning_trees(x, memo=None) -> list:
     """Rooted trees of a connected building set or simple graph: a root r
     over one tree per connected component of x with r deleted.  For a
     building set those components are the maximal sets avoiding r, for a
     graph the components of the graph minus r."""
+    if memo is None:
+        memo = {}
     trees = []
     for r in sorted(x.vertices):
-        for combo in _tree_choices(x.induced(x.vertices - {r})):
+        for combo in _tree_choices(x.induced(x.vertices - {r}), memo):
             parent = {sub.root: r for sub in combo}
             for sub in combo:
                 parent.update(sub.parent)
@@ -354,9 +363,20 @@ def _partitioning_trees(x) -> list:
     return trees
 
 
-def _tree_choices(x) -> Iterator[tuple]:
-    """Every choice of one partitioning tree per connected component of x."""
-    return product(*[_partitioning_trees(x.induced(c)) for c in x.connected_components()])
+def _tree_choices(x, memo=None) -> Iterator[tuple]:
+    """Every choice of one partitioning tree per connected component of x.
+
+    memo maps a vertex set to its partitioning trees.  It is valid for
+    the induced pieces of one object and lives for one call."""
+    if memo is None:
+        memo = {}
+    per_component = []
+    for c in x.connected_components():
+        trees = memo.get(c)
+        if trees is None:
+            trees = memo[c] = _partitioning_trees(x.induced(c), memo)
+        per_component.append(trees)
+    return product(*per_component)
 
 
 def skeletons(b: BuildingSet) -> Iterator[RootedForest]:

@@ -8,17 +8,24 @@ from itertools import combinations_with_replacement, product
 from hypothesis import strategies as st
 
 from hyperchi import (
+    BuildingSet,
     ConstraintSystem,
+    FormalSum,
     Hypergraph,
     Polynomial,
+    RootedForest,
+    RootedTree,
     acyclic_orientations,
     all_orientations,
     colorings,
     constrained_compositions,
+    enumerate_decompositions,
+    enumerate_set_compositions,
     f_polynomial,
     is_acyclic,
     is_compatible,
     is_strictly_compatible,
+    iterated_coproduct,
 )
 
 
@@ -115,3 +122,70 @@ def chi_polynomial_filtered(h: Hypergraph) -> Polynomial:
                 exponents.append(len(layer))
             total = total + f_polynomial(exponents)
     return total.shift(len(h.isolated_vertices()))
+
+
+def antipode_by_compositions(h: Hypergraph) -> FormalSum:
+    """The antipode as defined: over every ordered set composition, (-1)^length
+    times the disjoint union of the pieces ``iterated_coproduct`` splits off."""
+    if not h.vertices:
+        return FormalSum.of(h)
+    acc: dict = {}
+    for comp in enumerate_set_compositions(h.vertices):
+        pieces = iterated_coproduct(h, comp)
+        term = Hypergraph(h.vertices, [e for piece in pieces for e in piece.edges])
+        acc[term] = acc.get(term, 0) + (-1) ** len(comp)
+    return FormalSum(acc, h.vertices)
+
+
+def chi_eval_definition_by_fold(h: Hypergraph, n: int) -> int:
+    """The defining sum by folding ``iterated_coproduct`` over every length-n
+    decomposition, with no early exit."""
+    return sum(
+        all(piece.is_discrete() for piece in iterated_coproduct(h, decomp))
+        for decomp in enumerate_decompositions(h.vertices, n)
+    )
+
+
+def component_count(h: Hypergraph) -> int:
+    """Connected components of h by search over labels, isolated vertices
+    included."""
+    seen: set = set()
+    count = 0
+    for start in sorted(h.vertices):
+        if start in seen:
+            continue
+        count += 1
+        seen.add(start)
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for e in h.edges:
+                if v in e:
+                    for w in e - seen:
+                        seen.add(w)
+                        stack.append(w)
+    return count
+
+
+def skeletons_by_recursion(b: BuildingSet) -> list:
+    """Skeleton forests by the plain recursion: a root per connected
+    component over the skeletons of the maximal sets avoiding it, with
+    every induced building set rebuilt by the validating constructor."""
+
+    def induced(x, subset):
+        return BuildingSet(subset, [s for s in x.sets if s <= subset])
+
+    def trees(x):
+        out = []
+        for r in sorted(x.vertices):
+            for combo in choices(induced(x, x.vertices - {r})):
+                parent = {sub.root: r for sub in combo}
+                for sub in combo:
+                    parent.update(sub.parent)
+                out.append(RootedTree(r, parent))
+        return out
+
+    def choices(x):
+        return product(*[trees(induced(x, c)) for c in x.connected_components()])
+
+    return [RootedForest(combo) for combo in choices(b)]

@@ -144,6 +144,13 @@ def test_verify_with_random_instances(capsys):
     assert json.loads(out)["failures"] == 0
 
 
+@pytest.mark.parametrize("option, value", [("--max-n", "-1"), ("--random", "-2")])
+def test_verify_rejects_negative_counts(capsys, option, value):
+    code, out, err = run(capsys, "verify", option, value)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {option} expects a nonnegative") and err.count("\n") == 1
+
+
 def test_verify_reports_disagreement_with_exit_2(capsys, monkeypatch):
     # simulate an internal bug: one counting route returns a wrong value
     import hyperchi.cli as cli

@@ -2,7 +2,15 @@ import json
 from itertools import product
 
 import pytest
-from conftest import exhaustive_hypergraphs, nonempty_subsets, random_hypergraphs
+from conftest import (
+    antipode_by_compositions,
+    component_count,
+    exhaustive_hypergraphs,
+    nonempty_subsets,
+    random_hypergraphs,
+    small_hypergraphs,
+)
+from hypothesis import example, given, settings
 
 from hyperchi import (
     FormalSum,
@@ -198,6 +206,21 @@ def test_antipode_examples():
 
     empty = Hypergraph([])
     assert antipode(empty) == FormalSum({empty: 1})
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_hypergraphs(max_vertices=5))
+@example(Hypergraph(()))
+@example(Hypergraph("abc"))
+@example(Hypergraph("ab", [{"a", "b"}, {"a", "b"}, {"a"}]))
+@example(Hypergraph(["é", "Ω", "字", "a", "b"], [{"é", "Ω", "字"}, {"Ω", "a"}, {"b"}]))
+def test_antipode_matches_alternating_sum(h):
+    faces = antipode(h)
+    expected = antipode_by_compositions(h)
+    assert faces == expected
+    assert list(faces) == list(expected)
+    for coefficient, term in faces:
+        assert coefficient == (-1) ** component_count(term), term
 
 
 def test_hopf_antipode_identity():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 from conftest import (
+    chi_eval_definition_by_fold,
     chi_polynomial_filtered,
     exhaustive_hypergraphs,
     random_hypergraphs,
@@ -184,12 +185,23 @@ def test_chi_polynomial_matches_filtered_compositions(h):
 @example(Hypergraph("ab", [{"a", "b"}, {"a", "b"}, {"a"}]))
 @example(Hypergraph(["é", "Ω", "字", "a"], [{"é", "Ω"}, {"Ω", "字"}, {"a"}]))
 def test_split_folds_match_closed_form(h):
-    # the defining sum and the antipode both fold iterated_coproduct
+    # two routes through splits: the defining sum and the antipode
     poly = chi_polynomial(h)
     s = antipode(h)
     for n in range(3):
         assert chi_eval_definition(h, n) == poly(n), (h, n)
         assert chi_on_formal_sum(s, n) == poly(-n), (h, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_hypergraphs(max_vertices=5))
+@example(Hypergraph(()))
+@example(Hypergraph("abc"))
+@example(Hypergraph("ab", [{"a", "b"}, {"a", "b"}, {"a"}]))
+@example(Hypergraph(["é", "Ω", "字", "a", "b"], [{"é", "Ω", "字"}, {"Ω", "a"}, {"b"}]))
+def test_defining_sum_matches_fold(h):
+    for n in range(4):
+        assert chi_eval_definition(h, n) == chi_eval_definition_by_fold(h, n), (h, n)
 
 
 def _path(k):

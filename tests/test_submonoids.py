@@ -2,7 +2,7 @@ from itertools import product
 from math import comb
 
 import pytest
-from conftest import nonempty_subsets, random_hypergraphs
+from conftest import nonempty_subsets, random_hypergraphs, skeletons_by_recursion
 
 from hyperchi import (
     BuildingSet,
@@ -215,6 +215,38 @@ def test_skeleton_bijection_and_compatibility():
                     assert forest.is_compatible(coloring, strict=True) == (
                         is_strictly_compatible(hg, heads, coloring)
                     )
+
+
+SKELETON_GRAPHS = [
+    SimpleGraph("abcd", [("a", "b"), ("b", "c"), ("c", "d")]),
+    SimpleGraph("abcd", [("a", "b"), ("a", "c"), ("a", "d")]),
+    SimpleGraph("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")]),
+    SimpleGraph("abcde", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("a", "e"),
+                          ("b", "e")]),
+    SimpleGraph("abcde", [("a", "b"), ("b", "c"), ("d", "e")]),
+]
+
+
+@pytest.mark.parametrize("g", SKELETON_GRAPHS, ids=repr)
+def test_induced_building_set_matches_validating_constructor(g):
+    b = tubes(g)
+    labels = sorted(g.vertices)
+    for mask in range(1 << len(labels)):
+        sub = frozenset(labels[i] for i in range(len(labels)) if mask >> i & 1)
+        induced = b.induced(sub)
+        expected = BuildingSet(sub, [s for s in b.sets if s <= sub])
+        assert induced == expected and hash(induced) == hash(expected)
+        assert induced.connected_components() == expected.connected_components()
+
+
+@pytest.mark.parametrize("g", SKELETON_GRAPHS, ids=repr)
+def test_skeletons_keep_order_and_biject(g):
+    b = tubes(g)
+    forests = list(skeletons(b))
+    assert forests == skeletons_by_recursion(b)
+    images = [skeleton_orientation(b, f) for f in forests]
+    assert len(set(images)) == len(forests)
+    assert set(images) == set(acyclic_orientations(b.to_hypergraph()))
 
 
 def test_forest_pair_counts_match_invariant():
