@@ -117,13 +117,15 @@ def _cmd_eval(args) -> int:
 
 def _cmd_orientations(args) -> int:
     h = _expect(_load(args.input), Hypergraph, "a hypergraph ('edges')")
+    if args.pairs is None and args.strict:
+        raise SchemaError("--strict needs --pairs N")
+    if args.pairs is not None and args.pairs < 0:
+        raise SchemaError("--pairs expects a nonnegative number of colors")
     # kept only for --list; otherwise counted as it streams
     acyclic = list(acyclic_orientations(h)) if args.list else acyclic_orientations(h)
     payload = {"total": orientation_count(h), "acyclic": sum(1 for _ in acyclic)}
     lines = [f"orientations: {payload['total']}", f"acyclic: {payload['acyclic']}"]
     if args.pairs is not None:
-        if args.pairs < 0:
-            raise SchemaError("--pairs expects a nonnegative number of colors")
         count = count_compatible_pairs(h, args.pairs, strict=args.strict)
         payload["compatible_pairs"] = {
             "colors": args.pairs,

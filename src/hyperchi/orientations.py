@@ -110,15 +110,24 @@ def count_compatible_pairs(h: Hypergraph, n: int, strict: bool = False) -> int:
     inside lo.  Chains are pushed from each reachable lo to its
     supersets, and those at the last level that n colours allow only to
     the full set: O(|V| 3^|V|) work whatever n is.
+
+    A(lo, hi) depends only on the set of distinct wide traces e - lo,
+    those of two or more vertices.  A one-vertex trace has a forced head
+    and adds no arc.  Two equal traces must take the same head, or their
+    heads point at each other and close a 2-cycle.  So A is 1 with no
+    wide trace, |t| with one wide trace t, and 0 under strict with any
+    wide trace; otherwise the acyclic head choices of the distinct wide
+    traces are enumerated once per call for each such set.
     """
     if n < 0:
         raise ValueError("number of colors must be >= 0")
     labels, _, edges = _bit_edges(h)
     width = len(labels)
     full = (1 << width) - 1
+    inside: list = [None] * (full + 1)  # inside[hi]: the edges inside hi
     chains: list = [None] * (full + 1)  # chains[lo]: {length k: weighted count}
     chains[0] = {0: 1}
-    level_ways: dict = {}  # traces of a level's edges -> A of that level
+    level_ways: dict = {}  # distinct wide traces of a level -> A of that level
     for lo in range(full):
         here = chains[lo]
         if here is None or min(here) >= n:  # C(n, k) = 0 beyond k = n
@@ -129,16 +138,24 @@ def count_compatible_pairs(h: Hypergraph, n: int, strict: bool = False) -> int:
         while sub:
             hi = lo | sub
             sub = (sub - 1) & rest if growing else 0
-            traces = tuple(e & ~lo for e in edges if e & ~lo and not e & ~hi)
-            ways = level_ways.get(traces)
-            if ways is None:
-                if strict and any(t & (t - 1) for t in traces):
-                    ways = 0
-                else:
-                    ways = sum(1 for _ in _acyclic_heads(traces, traces, width))
-                level_ways[traces] = ways
-            if not ways:
+            within = inside[hi]
+            if within is None:  # listed once per hi, not once per (lo, hi)
+                within = inside[hi] = [e for e in edges if not e & ~hi]
+            wide = {t for e in within if (t := e & ~lo) & (t - 1)}
+            if not wide:
+                ways = 1
+            elif strict:
                 continue
+            elif len(wide) == 1:
+                ways = wide.pop().bit_count()
+            else:
+                key = frozenset(wide)
+                ways = level_ways.get(key)
+                if ways is None:
+                    traces = list(key)
+                    ways = level_ways[key] = sum(
+                        1 for _ in _acyclic_heads(traces, traces, width)
+                    )
             into = chains[hi]
             if into is None:
                 into = chains[hi] = {}

@@ -258,6 +258,17 @@ class RootedTree:
         self.parent = parent
         self._items = tuple(sorted(parent.items()))
 
+    @classmethod
+    def _assembled(cls, root: str, parent: dict) -> "RootedTree":
+        """The tree of a parent map that is a tree by construction, such as
+        a root over already built subtrees; the parent chains are not
+        walked again, and the dict is taken over, not copied."""
+        tree = object.__new__(cls)
+        tree.root = root
+        tree.parent = parent
+        tree._items = tuple(sorted(parent.items()))
+        return tree
+
     @property
     def vertices(self) -> frozenset:
         return frozenset({self.root, *self.parent, *self.parent.values()})
@@ -359,7 +370,7 @@ def _partitioning_trees(x, memo=None) -> list:
             parent = {sub.root: r for sub in combo}
             for sub in combo:
                 parent.update(sub.parent)
-            trees.append(RootedTree(r, parent))
+            trees.append(RootedTree._assembled(r, parent))
     return trees
 
 

@@ -72,6 +72,14 @@ def test_orientations_pair_counts(capsys):
     assert json.loads(out)["compatible_pairs"]["count"] == 2
 
 
+@pytest.mark.parametrize("options", [("--pairs", "-1"), ("--strict",), ("--list", "--strict")])
+def test_orientations_rejects_strict_without_pairs_and_negative_pairs(capsys, options):
+    edge = '{"vertices":["a","b"],"edges":[["a","b"]]}'
+    code, out, err = run(capsys, "orientations", edge, *options)
+    assert code == 1 and out == ""
+    assert err.startswith("error: --") and err.count("\n") == 1
+
+
 def test_antipode_verb(capsys):
     code, out, _ = run(capsys, "antipode", '{"vertices":["a","b"],"edges":[["a","b"]]}')
     assert code == 0

@@ -2,7 +2,7 @@ import time
 
 import pytest
 from conftest import count_pairs_bruteforce, random_hypergraphs, small_hypergraphs
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hyperchi import (
@@ -142,6 +142,29 @@ def test_pair_counts_match_bruteforce(h, n):
         assert count_compatible_pairs(h, n, strict=strict) == count_pairs_bruteforce(
             h, n, strict=strict
         ), (h, n, strict)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_hypergraphs(), st.integers(min_value=0, max_value=3),
+       st.integers(min_value=0, max_value=8), st.booleans())
+# on the level above {c, d} the only wide traces are the two equal {a, b}
+@example(Hypergraph("abcd", [{"a", "b", "c"}, {"a", "b", "d"}]), 3, 0, True)
+@example(Hypergraph("abc", [{"a", "b"}, {"a", "b"}, {"c"}]), 2, 1, True)
+@example(Hypergraph("abc", [{"a", "b", "c"}]), 3, 2, False)
+def test_repeated_and_one_vertex_edges_leave_counts_unchanged(h, n, pick, copy):
+    """The level lemma's reduction: a repeated trace must take its twin's
+    head and a one-vertex trace has one head, so neither changes a count."""
+    assume(h.vertices)
+    if copy and h.edges:
+        extra = h.edges[pick % len(h.edges)]
+    else:
+        extra = {sorted(h.vertices)[pick % len(h.vertices)]}
+    grown = Hypergraph(h.vertices, [*h.edges, extra])
+    for strict in (False, True):
+        assert count_compatible_pairs(grown, n, strict=strict) == count_compatible_pairs(
+            h, n, strict=strict
+        ), (h, extra, n, strict)
+    assert chi_polynomial(grown) == chi_polynomial(h)
 
 
 def test_pair_counts_at_many_colors():

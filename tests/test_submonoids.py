@@ -9,6 +9,7 @@ from hyperchi import (
     Hypergraph,
     PathFamily,
     Polynomial,
+    RootedTree,
     SetPartition,
     SimpleGraph,
     SimplicialComplex,
@@ -247,6 +248,23 @@ def test_skeletons_keep_order_and_biject(g):
     images = [skeleton_orientation(b, f) for f in forests]
     assert len(set(images)) == len(forests)
     assert set(images) == set(acyclic_orientations(b.to_hypergraph()))
+
+
+@pytest.mark.parametrize("g", SKELETON_GRAPHS, ids=repr)
+def test_assembled_trees_match_validating_constructor(g):
+    b = tubes(g)
+    labels = sorted(g.vertices)
+    for mask in range(1, 1 << len(labels)):
+        piece = b.induced(labels[i] for i in range(len(labels)) if mask >> i & 1)
+        if len(piece.connected_components()) != 1:
+            continue
+        for tree in _partitioning_trees(piece):
+            checked = RootedTree(tree.root, tree.parent)
+            assert tree == checked and hash(tree) == hash(checked)
+            assert tree.parent == checked.parent and repr(tree) == repr(checked)
+            assert tree.vertices == piece.vertices
+    with pytest.raises(ValueError, match="does not reach the root"):
+        RootedTree("a", {"b": "c", "c": "b"})
 
 
 def test_forest_pair_counts_match_invariant():
