@@ -20,7 +20,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterator, Sequence
 
-from .polynomial import Polynomial
+from .polynomial import Polynomial, linear_combination
 
 _bernoulli_cache = [Fraction(1)]
 _bernoulli_lock = threading.Lock()
@@ -90,9 +90,8 @@ def _f_polynomial_cached(parts: tuple) -> Polynomial:
     prefix = _f_polynomial_cached(parts[:-1])
     p = parts[-1]
     # the last chain variable turns c*n^e into c*power_sum(p+e), degree p+e+1
-    return sum(
-        (c * power_sum_polynomial(p + e) for e, c in enumerate(prefix.coeffs) if c),
-        Polynomial.ZERO,
+    return linear_combination(
+        (c, power_sum_polynomial(p + e)) for e, c in enumerate(prefix.coeffs) if c
     )
 
 

@@ -288,10 +288,14 @@ def to_json_dict(h: Hypergraph) -> dict:
 
 
 def _json_vertices(data: dict) -> list:
-    """The "vertices" array of a JSON object, checked to hold distinct strings."""
+    """The "vertices" array of a JSON object, checked to hold distinct strings
+    of valid Unicode (a JSON \\ud800 escape gives a lone surrogate)."""
     vertices = data.get("vertices")
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
         raise ValueError("'vertices' must be an array of strings")
+    for v in vertices:
+        if not v.isascii() and any("\ud800" <= ch <= "\udfff" for ch in v):
+            raise ValueError(f"vertex label {v!r} is not valid Unicode")
     if len(set(vertices)) != len(vertices):
         dup = sorted(v for v in set(vertices) if vertices.count(v) > 1)
         raise ValueError(f"duplicate vertex labels: {dup}")

@@ -32,7 +32,7 @@ from .compositions import (
 )
 from .hypergraph import FormalSum, Hypergraph, _bit_edges
 from .orientations import acyclic_orientations
-from .polynomial import Polynomial
+from .polynomial import Polynomial, linear_combination
 
 # Entries kept by each cache keyed on a whole hypergraph.
 CACHE_SIZE = 1024
@@ -168,7 +168,8 @@ def chi_polynomial(h: Hypergraph) -> Polynomial:
     all placed, which is the strict order of ``constrained_compositions``.
     Each layer's size comes from masks as its block is chosen.  The
     exponent tuples are tallied over all orientations, and each distinct
-    tuple's power sum is added once, times its count.
+    tuple's power sum is added once, times its count, into one
+    coefficient list.
     """
     _, bit, edges = _bit_edges(h)
     tally: dict = {}
@@ -183,9 +184,9 @@ def chi_polynomial(h: Hypergraph) -> Polynomial:
             before[head] = before.get(head, 0) | edge & head_set & ~head
             reach[head] = reach.get(head, 0) | edge
         _tally_layers(before, reach, head_set, 0, head_set, (), tally)
-    total = Polynomial.ZERO
-    for exponents, count in tally.items():
-        total = total + count * f_polynomial(exponents)
+    total = linear_combination(
+        (count, f_polynomial(exponents)) for exponents, count in tally.items()
+    )
     return total.shift(len(h.isolated_vertices()))
 
 
@@ -236,10 +237,7 @@ def chi_on_formal_sum(
     term polynomials.
     """
     if at is None:
-        acc = Polynomial.ZERO
-        for c, term in fsum:
-            acc = acc + c * chi_polynomial(term)
-        return acc
+        return linear_combination((c, chi_polynomial(term)) for c, term in fsum)
     if at >= 0:
         return sum(c * chi_eval_definition(term, at) for c, term in fsum)
     value = sum((c * chi_polynomial(term)(at) for c, term in fsum), Fraction(0))

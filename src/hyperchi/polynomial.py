@@ -4,11 +4,20 @@ Coefficients are stored ascending: ``coeffs[i]`` is the coefficient of
 ``n**i``.  The representation is canonical (no trailing zeros, every
 coefficient a ``Fraction``), so equality and hashing are structural.
 The zero polynomial is the empty coefficient tuple.
+
+Each coefficient ``Fraction`` is built once.  The constructor keeps
+``Fraction`` inputs as they are; every arithmetic result takes over the
+list of ``Fraction``s it computed without wrapping them again; and
+``linear_combination`` adds up a sum ``c_1*P_1 + ... + c_m*P_m`` in one
+coefficient list, as integer numerators over a common denominator per
+degree, so it builds one ``Fraction`` per coefficient of the result
+rather than a ``Polynomial`` per term.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
@@ -18,10 +27,20 @@ class Polynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
+
+    @classmethod
+    def _of(cls, cs: list) -> "Polynomial":
+        """Take over ``cs``, a list of ``Fraction``s that no one else holds,
+        trimming its trailing zeros; the coefficients are not wrapped again."""
+        while cs and not cs[-1]:
+            cs.pop()
+        poly = object.__new__(cls)
+        poly.coeffs = tuple(cs)
+        return poly
 
     @classmethod
     def monomial(cls, degree: int, coefficient: Scalar = 1) -> "Polynomial":
@@ -63,12 +82,12 @@ class Polynomial:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return Polynomial(out)
+        return Polynomial._of(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial([-c for c in self.coeffs])
+        return Polynomial._of([-c for c in self.coeffs])
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -81,7 +100,7 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Polynomial([c * other for c in self.coeffs])
+            return Polynomial._of([c * other for c in self.coeffs])
         if not isinstance(other, Polynomial):
             return NotImplemented
         if not self.coeffs or not other.coeffs:
@@ -91,7 +110,7 @@ class Polynomial:
             if a:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
-        return Polynomial(out)
+        return Polynomial._of(out)
 
     __rmul__ = __mul__
 
@@ -111,9 +130,9 @@ class Polynomial:
         """Multiply by n**k (degree shift)."""
         if k < 0:
             raise ValueError("shift must be >= 0")
-        if not self.coeffs:
+        if not k or not self.coeffs:
             return self
-        return Polynomial((Fraction(0),) * k + self.coeffs)
+        return Polynomial._of([Fraction(0)] * k + list(self.coeffs))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -155,6 +174,34 @@ class Polynomial:
     def coefficient_strings(self) -> list[str]:
         """Ascending-degree coefficients as exact fraction strings."""
         return [str(c) for c in self.coeffs]
+
+
+def linear_combination(terms: Iterable[tuple[Scalar, Polynomial]]) -> Polynomial:
+    """The sum of ``c * p`` over the ``(c, p)`` pairs of ``terms``.
+
+    Each degree keeps an integer numerator over the least common
+    denominator of its terms, so the sum builds one ``Fraction`` per
+    coefficient of the result, at the end.
+    """
+    nums: list = []
+    dens: list = []
+    for c, p in terms:
+        cn, cd = c.numerator, c.denominator
+        short = len(p.coeffs) - len(nums)
+        if short > 0:
+            nums += [0] * short
+            dens += [1] * short
+        for i, a in enumerate(p.coeffs):
+            an = a.numerator
+            if an:
+                num, den, old = cn * an, cd * a.denominator, dens[i]
+                if den == old:
+                    nums[i] += num
+                else:
+                    common = lcm(old, den)
+                    nums[i] = nums[i] * (common // old) + num * (common // den)
+                    dens[i] = common
+    return Polynomial._of([Fraction(n, d) for n, d in zip(nums, dens)])
 
 
 def _coerce(x):

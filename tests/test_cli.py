@@ -193,6 +193,25 @@ def test_deeply_nested_json_is_invalid_input(capsys):
 
 @pytest.mark.parametrize(
     "argv",
+    [
+        ["orientations", r'{"vertices":["a","\ud800"],"edges":[["a","\ud800"]]}', "--list"],
+        ["skeletons", r'{"vertices":["a","\ud800"],"sets":[["a"],["\ud800"],["a","\ud800"]]}',
+         "--list"],
+        ["path", r'{"vertices":["a","\ud800"],"paths":[["a","\ud800"]]}', "--coproduct", '["a"]'],
+    ],
+    ids=["orientations", "skeletons", "path"],
+)
+def test_lone_surrogate_label_is_invalid_input(capsys, argv):
+    # a JSON \ud800 escape decodes to a lone surrogate, which UTF-8
+    # cannot encode: refused before anything is printed
+    code, out, err = run(capsys, "--format", "text", *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Unicode" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
     [["chi"], ["eval", EXAMPLE_JSON], ["colour", EXAMPLE_JSON]],
     ids=["missing-input", "missing-at", "unknown-verb"],
 )

@@ -5,12 +5,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hyperchi import Polynomial
+from hyperchi.polynomial import linear_combination
 
 coeffs = st.lists(
     st.fractions(min_value=-10, max_value=10, max_denominator=12), max_size=6
 )
 polys = coeffs.map(Polynomial)
 points = st.integers(min_value=-20, max_value=20)
+scalars = st.one_of(
+    st.just(0),
+    st.integers(min_value=-5, max_value=5),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+)
 
 
 def test_canonical_form():
@@ -55,6 +61,28 @@ def test_ring_axioms(p, q, r):
     assert p + Polynomial.ZERO == p
     assert p * Polynomial.ONE == p
     assert p - p == Polynomial.ZERO
+
+
+def _assert_canonical(result):
+    assert all(type(c) is Fraction for c in result.coeffs)
+    assert not result.coeffs or result.coeffs[-1] != 0
+    rebuilt = Polynomial(list(result.coeffs))
+    assert result == rebuilt and hash(result) == hash(rebuilt)
+
+
+@given(polys, polys, scalars, st.integers(min_value=0, max_value=3),
+       st.lists(st.tuples(scalars, polys), max_size=5))
+def test_arithmetic_results_are_canonical_and_leave_operands_alone(p, q, c, k, terms):
+    before = (p.coeffs, q.coeffs, [t.coeffs for _, t in terms])
+    results = [p + q, p - q, -p, p * q, c * p, p * c, p.shift(k), p**k,
+               p + c, c - p, linear_combination(terms),
+               linear_combination([(1, p), (c, q)])]
+    for result in results:
+        _assert_canonical(result)
+    assert (p.coeffs, q.coeffs, [t.coeffs for _, t in terms]) == before
+    assert linear_combination(terms) == sum((a * t for a, t in terms), Polynomial.ZERO)
+    assert linear_combination([(1, p), (c, q)]) == p + c * q
+    assert c * p == Polynomial([c * a for a in p.coeffs])
 
 
 @given(polys, polys, points)
