@@ -27,7 +27,7 @@ import random
 import sys
 from math import comb
 
-from .hypergraph import Hypergraph, antipode, to_json_dict
+from .hypergraph import Hypergraph, antipode
 from .invariant import (
     chi_eval_colorings,
     chi_eval_definition,
@@ -144,7 +144,7 @@ def _cmd_orientations(args) -> int:
 def _cmd_antipode(args) -> int:
     h = _expect(_load(args.input), Hypergraph, "a hypergraph ('edges')")
     terms = [
-        {"coefficient": c, "hypergraph": to_json_dict(t)} for c, t in antipode(h)
+        {"coefficient": c, "hypergraph": serialize(t)} for c, t in antipode(h)
     ]
     lines = [f"{t['coefficient']:+d} * {json.dumps(t['hypergraph'], sort_keys=True)}"
              for t in terms]

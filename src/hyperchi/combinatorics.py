@@ -8,7 +8,9 @@ The strict-chain power sum attached to a sequence of exponents
 which is a polynomial in n of degree ``sum(p) + t`` with zero constant
 coefficient.  These polynomials are the building blocks of the hypergraph
 invariant; exponents may be zero here even though most classical uses
-assume them positive.
+assume them positive.  ``f_polynomial`` gives them in Bernoulli
+(Faulhaber) form; ``chi_polynomial`` adds the same sums as integer
+values and interpolates once.
 """
 
 from __future__ import annotations

@@ -11,8 +11,11 @@ For a nonnegative number of colors n the invariant counts, equivalently:
 orientation expansion: every acyclic orientation contributes, for every
 composition of its head set respecting the head-dominance constraints, a
 strict-chain power sum whose exponents are the sizes of the layers of
-non-head vertices swept up block by block.  Evaluating the polynomial at
--n and multiplying by (-1)^|vertices| counts compatible pairs of acyclic
+non-head vertices swept up block by block.  The invariant is
+integer-valued, so those power sums are added as integer values at
+n = 0..d, d the number of vertices in edges, and the polynomial is
+interpolated from them once.  Evaluating the polynomial at -n and
+multiplying by (-1)^|vertices| counts compatible pairs of acyclic
 orientations and colorings, which is the reciprocity law the test suite
 pins down.
 """
@@ -21,9 +24,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 from typing import Iterator, Optional, Union
 
-from .combinatorics import f_polynomial
 from .compositions import (
     SetComposition,
     colorings,
@@ -97,18 +100,22 @@ def constrained_compositions(
 def chi_eval_definition(h: Hypergraph, n: int) -> int:
     """The defining sum: count length-n splits with all pieces discrete.
 
-    The blocks of a split are chosen left to right as submasks (empty
-    ones included) of the vertices not yet placed, the last block taking
-    all that remain.  The piece on a block holds the traces of the edges
-    that first fit inside the placed set once the block is added, so it
-    is discrete iff each of those traces has at most one vertex.  A split
-    is dropped at its first non-discrete piece, together with every
-    split sharing that prefix.
+    The piece on a block holds the traces of the edges that first fit
+    inside the placed set once the block is added, so it is discrete iff
+    each of those traces has at most one vertex.  An empty block adds no
+    piece and changes no later one, so the splits are counted by their
+    nonempty blocks, chosen left to right as nonempty submasks of the
+    vertices not yet placed, and a sequence of j such blocks stands for
+    the C(n, j) splits that place it among the n slots.  A sequence is
+    dropped at its first non-discrete piece, together with every sequence
+    sharing that prefix.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     labels, _, edges = _bit_edges(h)
     full = (1 << len(labels)) - 1
+    limit = min(n, len(labels))  # at most one nonempty block per slot
+    counts = [0] * (limit + 1)  # counts[j]: discrete sequences of j blocks
 
     def discrete(placed: int, block: int) -> bool:
         for e in edges:
@@ -118,22 +125,22 @@ def chi_eval_definition(h: Hypergraph, n: int) -> int:
                     return False
         return True
 
-    def splits(placed: int, left: int) -> int:
+    def extend(placed: int, j: int) -> None:
         rest = full & ~placed
-        if left == 1:
-            return int(discrete(placed, rest))
-        count = 0
-        block = rest
-        while True:
-            if discrete(placed, block):
-                count += splits(placed | block, left - 1)
-            if not block:
-                return count
-            block = (block - 1) & rest
+        if not rest:
+            counts[j] += 1
+        elif j + 1 == limit:  # the last block takes all that remain
+            if discrete(placed, rest):
+                counts[limit] += 1
+        elif j < limit:
+            block = rest
+            while block:
+                if discrete(placed, block):
+                    extend(placed | block, j + 1)
+                block = (block - 1) & rest
 
-    if n == 0:
-        return int(not full)
-    return splits(0, n)
+    extend(0, 0)
+    return sum(comb(n, j) * count for j, count in enumerate(counts))
 
 
 def chi_eval_colorings(h: Hypergraph, n: int) -> int:
@@ -167,9 +174,12 @@ def chi_polynomial(h: Hypergraph) -> Polynomial:
     constraint predecessors (the other heads in the edges they head) are
     all placed, which is the strict order of ``constrained_compositions``.
     Each layer's size comes from masks as its block is chosen.  The
-    exponent tuples are tallied over all orientations, and each distinct
-    tuple's power sum is added once, times its count, into one
-    coefficient list.
+    exponent tuples are tallied over all orientations.  Each distinct
+    tuple's power sum is evaluated in integers at n = 0..d, d the number
+    of vertices in edges, by its defining recursion from its prefix's
+    values; the counted values are added into one integer list, and one
+    interpolation turns that list into the polynomial.  ``f_polynomial``
+    gives the same power sums in Bernoulli form.
     """
     _, bit, edges = _bit_edges(h)
     tally: dict = {}
@@ -184,10 +194,30 @@ def chi_polynomial(h: Hypergraph) -> Polynomial:
             before[head] = before.get(head, 0) | edge & head_set & ~head
             reach[head] = reach.get(head, 0) | edge
         _tally_layers(before, reach, head_set, 0, head_set, (), tally)
-    total = linear_combination(
-        (count, f_polynomial(exponents)) for exponents, count in tally.items()
-    )
-    return total.shift(len(h.isolated_vertices()))
+    # Heads and layers are disjoint and every block holds a head, so each
+    # tallied power sum has degree at most the number of covered vertices
+    # and the sum is fixed by its integer values at n = 0..covered.
+    isolated = len(h.isolated_vertices())
+    points = len(h.vertices) - isolated + 1
+    chains = {(): [1] * points}  # exponent tuple -> its power sum at 0..points-1
+
+    def chain(parts: tuple) -> list:
+        values = chains.get(parts)
+        if values is None:
+            # F_{t,p}(n) = sum_{k<n} k^p F_t(k)
+            p = parts[-1]
+            values, acc = [], 0
+            for k, prefix in enumerate(chain(parts[:-1])):
+                values.append(acc)
+                acc += k**p * prefix
+            chains[parts] = values
+        return values
+
+    totals = [0] * points
+    for exponents, count in tally.items():
+        for k, value in enumerate(chain(exponents)):
+            totals[k] += count * value
+    return Polynomial.from_values(totals).shift(isolated)
 
 
 def _tally_layers(before, reach, head_set, placed, used, exponents, tally) -> None:

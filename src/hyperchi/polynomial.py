@@ -11,13 +11,16 @@ list of ``Fraction``s it computed without wrapping them again; and
 ``linear_combination`` adds up a sum ``c_1*P_1 + ... + c_m*P_m`` in one
 coefficient list, as integer numerators over a common denominator per
 degree, so it builds one ``Fraction`` per coefficient of the result
-rather than a ``Polynomial`` per term.
+rather than a ``Polynomial`` per term.  ``Polynomial.from_values``
+interpolates integer values at ``0, 1, ..., m-1`` the same way: integer
+numerators over the one denominator ``(m-1)!``, one ``Fraction`` per
+coefficient.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm
 from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
@@ -41,6 +44,35 @@ class Polynomial:
         poly = object.__new__(cls)
         poly.coeffs = tuple(cs)
         return poly
+
+    @classmethod
+    def from_values(cls, ys: Iterable[int]) -> "Polynomial":
+        """The polynomial of degree below ``len(ys)`` whose value at
+        ``n = k`` is ``ys[k]``, for integer values.
+
+        Newton forward differences give its integer coordinates ``c_k``
+        in the binomial basis ``C(n, k) = (n)_k / k!``.  Each falling
+        factorial ``(n)_k = n(n-1)...(n-k+1)`` expands into integer
+        coefficients (the Stirling numbers of the first kind), which are
+        summed as numerators over ``(m-1)!`` for ``m`` values.
+        """
+        diffs = list(ys)
+        newton = []
+        while diffs:
+            newton.append(diffs[0])
+            diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        den = factorial(max(len(newton) - 1, 0))
+        nums = [0] * len(newton)
+        falling = [1]  # coefficients of (n)_k, ascending
+        weight = den  # den / k!
+        for k, c in enumerate(newton):
+            if c:
+                for j, s in enumerate(falling):
+                    nums[j] += c * weight * s
+            # (n)_(k+1) = (n)_k * (n - k)
+            falling = [a - k * b for a, b in zip([0] + falling, falling + [0])]
+            weight //= k + 1
+        return cls._of([Fraction(x, den) for x in nums])
 
     @classmethod
     def monomial(cls, degree: int, coefficient: Scalar = 1) -> "Polynomial":

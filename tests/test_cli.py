@@ -152,6 +152,13 @@ def test_verify_with_random_instances(capsys):
     assert json.loads(out)["failures"] == 0
 
 
+def test_verify_many_colors_on_tiny_inputs(capsys):
+    # the defining sum recurses over nonempty blocks, not over colours
+    code, out, err = run(capsys, "verify", '{"vertices":[],"edges":[]}', "--max-n", "1500")
+    assert code == 0 and err == ""
+    assert json.loads(out)["failures"] == 0
+
+
 @pytest.mark.parametrize("option, value", [("--max-n", "-1"), ("--random", "-2")])
 def test_verify_rejects_negative_counts(capsys, option, value):
     code, out, err = run(capsys, "verify", option, value)

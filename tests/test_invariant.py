@@ -166,12 +166,36 @@ def test_zero_layer_sizes_are_kept():
     assert 6 * f_polynomial((1,)) != chi_polynomial(triangle)
 
 
+def _path(k):
+    labels = [f"v{i}" for i in range(k)]
+    return Hypergraph(labels, [{labels[i], labels[i + 1]} for i in range(k - 1)])
+
+
+def _cyclic_3_uniform(k):
+    labels = [f"v{i}" for i in range(k)]
+    return Hypergraph(labels, [{labels[i], labels[(i + 1) % k], labels[(i + 2) % k]}
+                               for i in range(k)])
+
+
+def _complete_graph(k):
+    labels = [f"v{i}" for i in range(k)]
+    return Hypergraph(labels, [{u, v} for i, u in enumerate(labels) for v in labels[i + 1:]])
+
+
 @settings(max_examples=150, deadline=None)
 @given(small_hypergraphs())
 @example(Hypergraph(()))
 @example(EXAMPLE_H)
 @example(Hypergraph("ab", [{"a", "b"}, {"a", "b"}, {"a"}]))
 @example(Hypergraph(["é", "Ω", "字", "a"], [{"é", "Ω"}, {"Ω", "字"}, {"字", "a", "é"}]))
+@example(Hypergraph("abc"))
+@example(Hypergraph("abcd", [{"a", "b", "c", "d"}]))
+@example(Hypergraph("abc", [{"a"}, {"b"}, {"a"}, {"c"}]))
+@example(_path(6))
+@example(_cyclic_3_uniform(6))
+@example(_path(7))
+@example(_cyclic_3_uniform(7))
+@example(_complete_graph(5))
 def test_chi_polynomial_matches_filtered_compositions(h):
     poly = chi_polynomial(h)
     assert poly == chi_polynomial_filtered(h), h
@@ -204,15 +228,14 @@ def test_defining_sum_matches_fold(h):
         assert chi_eval_definition(h, n) == chi_eval_definition_by_fold(h, n), (h, n)
 
 
-def _path(k):
-    labels = [f"v{i}" for i in range(k)]
-    return Hypergraph(labels, [{labels[i], labels[i + 1]} for i in range(k - 1)])
-
-
-def _cyclic_3_uniform(k):
-    labels = [f"v{i}" for i in range(k)]
-    return Hypergraph(labels, [{labels[i], labels[(i + 1) % k], labels[(i + 2) % k]}
-                               for i in range(k)])
+def test_defining_sum_places_nonempty_blocks_among_the_colors():
+    start = time.perf_counter()
+    assert chi_eval_definition(Hypergraph("a"), 1200) == 1200
+    assert time.perf_counter() - start < 0.5
+    for h in (Hypergraph(()), Hypergraph("ab"), EXAMPLE_H, _path(4)):
+        poly = chi_polynomial(h)
+        for n in (5, 9, 40):
+            assert chi_eval_definition(h, n) == poly(n), (h, n)
 
 
 @pytest.mark.parametrize("h", [_path(8), _cyclic_3_uniform(9)], ids=["P_8", "C3_9"])

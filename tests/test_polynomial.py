@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -99,6 +100,23 @@ def test_evaluation_homomorphism_at_random_points():
         x = Fraction(rng.randint(-30, 30), rng.randint(1, 5))
         assert (p + q)(x) == p(x) + q(x)
         assert (p * q)(x) == p(x) * q(x)
+
+
+@given(st.lists(st.integers(min_value=-1000, max_value=1000), max_size=9),
+       st.integers(min_value=0, max_value=3))
+def test_from_values_interpolates_binomial_sums(ds, extra):
+    # sum_k d_k C(n, k) sampled at its degree + 1 points, or more
+    expected = Polynomial.ZERO
+    binomial = Polynomial.ONE
+    for k, d in enumerate(ds):
+        expected = expected + d * binomial
+        binomial = binomial * (Polynomial.N - k) * Fraction(1, k + 1)
+    points = len(ds) + extra
+    values = [sum(d * comb(n, k) for k, d in enumerate(ds)) for n in range(points)]
+    result = Polynomial.from_values(values)
+    assert result == expected
+    _assert_canonical(result)
+    assert result.degree < points
 
 
 def test_exact_rational_evaluation():
