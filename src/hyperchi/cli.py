@@ -12,7 +12,8 @@ Verbs:
   path          invariant of a path family; optional coproduct split
   verify        cross-method agreement checks; exit 2 on any disagreement
 
-Inputs are JSON: a file path, ``-`` for stdin, or an inline JSON object.
+Inputs are JSON objects: a file path, ``-`` for stdin, or inline text (text
+that starts with ``{`` or ``[`` is read inline).
 Output is JSON by default (``--format text`` for prose).  Exit codes:
 0 success, 1 invalid input or command-line usage, 2 verification
 mismatch or an internal arithmetic error (an exact count that came out
@@ -57,7 +58,7 @@ from .submonoids import (
 def _load(source: str):
     if source == "-":
         text = sys.stdin.read()
-    elif source.lstrip().startswith("{"):
+    elif source.lstrip().startswith(("{", "[")):
         text = source
     else:
         with open(source, "r", encoding="utf-8") as fh:

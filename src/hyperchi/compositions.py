@@ -9,6 +9,8 @@ so both are enumerated by one loop, ``colorings``.
 The one cycle test, the bitmask backtracker ``_acyclic_heads``, lives
 here as the lowest module that needs it: ``is_acyclic_arcs`` runs it on
 arc sets and ``orientations`` on head choices of hypergraph edges.
+``_allowed_blocks`` lists the blocks of a vertex mask that meet each edge
+at most once, the top colour classes the compatible-pair count peels.
 
 Vertex labels are strings; every enumeration order is derived from the
 lexicographic order on labels so output is deterministic.
@@ -227,6 +229,33 @@ def _acyclic_heads(edges: list, allowed: list, width: int) -> Iterator[list]:
         downs[k + 1] = [d | reach if d & tails else d for d in down] if tails else down
         k += 1
         left[k] = allowed[k]
+
+
+def _allowed_blocks(ground: int, sets) -> list:
+    """Every nonempty block of the ground mask that meets each mask of sets
+    at most once, in no fixed order.
+
+    These are the independent sets, inside ground, of the graph joining
+    two vertices that share a mask.  A vertex bans the other vertices of
+    the masks that hold it.  Vertices are added one at a time: each
+    earlier block clear of what the new vertex bans gains a copy holding
+    it, so only allowed blocks are ever built.
+    """
+    ban: dict = {}
+    for s in sets:
+        rest = s
+        while rest:
+            v = rest & -rest
+            rest ^= v
+            ban[v] = ban.get(v, 0) | s
+    blocks: list = []
+    while ground:
+        v = ground & -ground
+        ground ^= v
+        banned = ban.get(v, v)
+        blocks += [t | v for t in blocks if not t & banned]
+        blocks.append(v)
+    return blocks
 
 
 def is_acyclic_arcs(vertices: Iterable[str], arcs: Iterable[tuple]) -> bool:

@@ -51,6 +51,8 @@ def _string_lists(data: dict, key: str, allow_empty_inner: bool = False) -> list
             raise SchemaError(f"{key}[{i}]: must be an array of strings")
         if not inner and not allow_empty_inner:
             raise SchemaError(f"{key}[{i}]: must not be empty")
+        if len(set(inner)) != len(inner):
+            raise SchemaError(f"{key}[{i}]: duplicate vertex labels")
         out.append(inner)
     return out
 

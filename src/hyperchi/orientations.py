@@ -15,11 +15,11 @@ edge, and strictly compatible when every head is the unique maximizer.
 from __future__ import annotations
 
 from itertools import product
-from math import comb
+from math import comb, factorial
 from typing import Iterator, Mapping, Sequence
 
 # colorings is re-exported, so orientations.colorings keeps working
-from .compositions import _acyclic_heads, colorings  # noqa: F401
+from .compositions import _acyclic_heads, _allowed_blocks, colorings  # noqa: F401
 from .hypergraph import Hypergraph, _bit_edges
 
 
@@ -104,62 +104,119 @@ def count_compatible_pairs(h: Hypergraph, n: int, strict: bool = False) -> int:
     edge j.  Every cycle therefore lies inside one level, and the
     orientation is acyclic iff each level's head choice is.
 
-    Hence the count is sum_k C(n, k) g_k, where g_k sums over the chains
-    of length k the product of A(D_{i-1}, D_i), and A(lo, hi) counts the
-    acyclic head choices, outside lo, of the edges inside hi but not
-    inside lo.  Chains are pushed from each reachable lo to its
-    supersets, and those at the last level that n colours allow only to
-    the full set: O(|V| 3^|V|) work whatever n is.
-
-    A(lo, hi) depends only on the set of distinct wide traces e - lo,
-    those of two or more vertices.  A one-vertex trace has a forced head
-    and adds no arc.  Two equal traces must take the same head, or their
-    heads point at each other and close a 2-cycle.  So A is 1 with no
-    wide trace, |t| with one wide trace t, and 0 under strict with any
-    wide trace; otherwise the acyclic head choices of the distinct wide
-    traces are enumerated once per call for each such set.
+    Hence the count is sum_k C(n, k) c_k(V), where c_k(W) sums over the
+    chains of length k ending at W the product of A(D_{i-1}, D_i), and
+    A(lo, hi) counts the acyclic head choices, outside lo, of the edges
+    inside hi but not inside lo.  ``_level_counts`` finds the c_k(V).
     """
     if n < 0:
         raise ValueError("number of colors must be >= 0")
     labels, _, edges = _bit_edges(h)
-    width = len(labels)
+    levels = _level_counts(edges, len(labels), n, strict)
+    return sum(comb(n, k) * count for k, count in enumerate(levels))
+
+
+def _level_counts(edges: list, width: int, n: int, strict: bool) -> list:
+    """[c_0(V), ..., c_m(V)] of ``count_compatible_pairs``, m = min(n, width),
+    for the edge masks on width vertices.
+
+    A(lo, hi) depends only on the set of distinct wide traces e - lo,
+    those of two or more vertices: a one-vertex trace has a forced head
+    and adds no arc, and two equal traces must take the same head, or
+    their heads point at each other and close a 2-cycle.  So one-vertex
+    and repeated edges are dropped first.
+
+    Strict: A(lo, hi) is 1 when hi - lo is an allowed block of hi, one
+    that meets every edge inside hi at most once (``_allowed_blocks``),
+    and 0 otherwise.  So c_k(W) = sum_T c_{k-1}(W - T) over the allowed
+    blocks T of W, and only those are visited: at most 3^|V| in all, far
+    fewer when edges are large or many, whatever n is.
+
+    Not strict: chains are pushed from each reachable lo to its
+    supersets, and those at the last level that n colours allow only to
+    the full set: O(3^|V|) level steps whatever n is.  Each A is a sum
+    over sinks (``_acyclic_trace_heads``), once per call for each set of
+    traces.
+
+    The c_k(W) of each W are packed into one int, a slot of bits per k,
+    so one more level is a shift.  A slot holds every c_k(W): their sum
+    counts the ordered set partitions of W, fewer than |V|^|V|, times the
+    acyclic orientations compatible with one, at most |V|! since a linear
+    order of the vertices that extends one picks its heads.
+    """
     full = (1 << width) - 1
-    inside: list = [None] * (full + 1)  # inside[hi]: the edges inside hi
-    chains: list = [None] * (full + 1)  # chains[lo]: {length k: weighted count}
-    chains[0] = {0: 1}
-    level_ways: dict = {}  # distinct wide traces of a level -> A of that level
-    for lo in range(full):
-        here = chains[lo]
-        if here is None or min(here) >= n:  # C(n, k) = 0 beyond k = n
-            continue
-        rest = full & ~lo
-        growing = min(here) + 1 < n  # a chain here may step to hi < V
-        sub = rest
-        while sub:
-            hi = lo | sub
-            sub = (sub - 1) & rest if growing else 0
-            within = inside[hi]
-            if within is None:  # listed once per hi, not once per (lo, hi)
-                within = inside[hi] = [e for e in edges if not e & ~hi]
-            wide = {t for e in within if (t := e & ~lo) & (t - 1)}
-            if not wide:
-                ways = 1
-            elif strict:
-                continue
-            elif len(wide) == 1:
-                ways = wide.pop().bit_count()
-            else:
-                key = frozenset(wide)
-                ways = level_ways.get(key)
+    wide = list({e for e in edges if e & (e - 1)})
+    slot = (width**width * factorial(width)).bit_length()
+    chains = [0] * (full + 1)  # chains[W]: packed c_k(W)
+    chains[0] = 1
+    if strict:
+        for w in range(1, full + 1):
+            out = full ^ w
+            blocks = _allowed_blocks(w, [e for e in wide if not e & out])
+            chains[w] = sum([chains[w ^ t] for t in blocks]) << slot
+    else:
+        memo: dict = {}  # distinct wide traces -> acyclic head choices
+        for lo in range(full):
+            here = chains[lo]
+            if not here or (shortest := ((here & -here).bit_length() - 1) // slot) >= n:
+                continue  # C(n, k) = 0 beyond k = n
+            rest = full & ~lo
+            above = list({t for e in wide if (t := e & ~lo) & (t - 1)})
+            growing = shortest + 1 < n  # a chain here may step to hi < V
+            step = here << slot
+            sub = rest
+            while sub:
+                hi = lo | sub
+                out = rest ^ sub
+                sub = (sub - 1) & rest if growing else 0
+                traces = frozenset([t for t in above if not t & out])
+                ways = memo.get(traces)
                 if ways is None:
-                    traces = list(key)
-                    ways = level_ways[key] = sum(
-                        1 for _ in _acyclic_heads(traces, traces, width)
-                    )
-            into = chains[hi]
-            if into is None:
-                into = chains[hi] = {}
-            for k, count in here.items():
-                if k + 1 < n or hi == full:
-                    into[k + 1] = into.get(k + 1, 0) + count * ways
-    return sum(comb(n, k) * count for k, count in (chains[full] or {}).items())
+                    ways = _acyclic_trace_heads(traces, memo)
+                chains[hi] += step * ways
+    top, mask = chains[full], (1 << slot) - 1
+    return [top >> k * slot & mask for k in range(min(n, width) + 1)]
+
+
+def _acyclic_trace_heads(traces: frozenset, memo: dict) -> int:
+    """Acyclic choices of one head per trace, for a set of distinct traces
+    (vertex masks), memoised in memo by the trace set.
+
+    The count is the product over the components of the traces, joined
+    where they overlap.  Within one component it is a sum over sinks, as
+    in Stanley's recursion for acyclic orientations: every acyclic choice
+    has a nonempty set of sinks, vertices that head every trace holding
+    them.  Fixing a set S of sinks forces S to meet each trace at most
+    once, gives the traces that meet S their head in S, and leaves the
+    traces off S free and acyclic; by inclusion-exclusion over S,
+    a(K) = sum over the nonempty such S of (-1)^(|S|+1) a({t in K : t off S}).
+    """
+    ways = memo.get(traces)
+    if ways is not None:
+        return ways
+    if len(traces) < 2:
+        ways = memo[traces] = next(iter(traces)).bit_count() if traces else 1
+        return ways
+    parts: list = []  # (union, traces) of each component found so far
+    for t in traces:
+        union, group, apart = t, [t], []
+        for part in parts:
+            if part[0] & t:
+                union |= part[0]
+                group += part[1]
+            else:
+                apart.append(part)
+        parts = apart + [(union, group)]
+    if len(parts) > 1:
+        ways = 1
+        for _, group in parts:
+            ways *= _acyclic_trace_heads(frozenset(group), memo)
+    else:
+        ways = 0
+        for sinks in _allowed_blocks(parts[0][0], traces):
+            term = _acyclic_trace_heads(
+                frozenset([t for t in traces if not t & sinks]), memo
+            )
+            ways += term if sinks.bit_count() & 1 else -term
+    memo[traces] = ways
+    return ways

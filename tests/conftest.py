@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations_with_replacement, product
+from math import comb
 
 from hypothesis import strategies as st
 
@@ -27,6 +28,8 @@ from hyperchi import (
     is_strictly_compatible,
     iterated_coproduct,
 )
+from hyperchi.compositions import _acyclic_heads
+from hyperchi.hypergraph import _bit_edges
 
 
 def nonempty_subsets(labels):
@@ -100,6 +103,40 @@ def count_pairs_bruteforce(h: Hypergraph, n: int, strict: bool = False) -> int:
         for f in acyclic
         if compatible(h, f, coloring)
     )
+
+
+def count_pairs_by_levels(h: Hypergraph, n: int, strict: bool = False) -> int:
+    """Count compatible pairs by colour level, every level filtered.
+
+    The count is sum_k C(n, k) g_k, where g_k sums over the chains
+    {} < D_1 < ... < D_k = V the product of A(D_{i-1}, D_i), and A(lo, hi)
+    counts the acyclic head choices, outside lo, of the edges inside hi
+    but not inside lo.  Every pair lo < hi is tried.  A depends only on
+    the distinct wide traces e - lo (two or more vertices): it is 1 with
+    none, 0 under strict with any, and otherwise the acyclic head choices
+    of those traces, enumerated."""
+    labels, _, edges = _bit_edges(h)
+    width = len(labels)
+    full = (1 << width) - 1
+    chains: list = [None] * (full + 1)  # chains[lo]: {length k: weighted count}
+    chains[0] = {0: 1}
+    for lo in range(full):
+        here = chains[lo]
+        if here is None or min(here) >= n:  # C(n, k) = 0 beyond k = n
+            continue
+        rest = full & ~lo
+        sub = rest
+        while sub:
+            hi = lo | sub
+            sub = (sub - 1) & rest
+            wide = list({t for e in edges if not e & ~hi and (t := e & ~lo) & (t - 1)})
+            if strict and wide:
+                continue
+            ways = sum(1 for _ in _acyclic_heads(wide, wide, width))
+            into = chains[hi] = chains[hi] or {}
+            for k, count in here.items():
+                into[k + 1] = into.get(k + 1, 0) + count * ways
+    return sum(comb(n, k) * count for k, count in (chains[full] or {}).items())
 
 
 def chi_polynomial_filtered(h: Hypergraph) -> Polynomial:

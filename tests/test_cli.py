@@ -185,6 +185,24 @@ def test_invalid_input_exit_code(capsys):
     assert code == 1
     code, _, err = run(capsys, "chi", '{"vertices":["a"]}')
     assert code == 1 and "payload" in err
+    code, _, err = run(capsys, "chi", " [1,2]")  # inline, not a file name
+    assert code == 1 and err == "error: input must be a JSON object\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["partition", '{"vertices":["a","b"],"parts":[["a","a"],["b"]]}'], "parts[0]"),
+        (["skeletons", '{"vertices":["a","b"],"sets":[["a"],["b","b"]]}'], "sets[1]"),
+        (["verify", '{"vertices":["a","b"],"faces":[["a","a"]]}'], "faces[0]"),
+        (["path", '{"vertices":["a","b"],"paths":[["a","b","a"]]}'], "paths[0]"),
+    ],
+    ids=["partition", "skeletons", "verify-complex", "path"],
+)
+def test_repeated_label_inside_an_array_is_invalid_input(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}: duplicate vertex labels\n"
 
 
 def test_deeply_nested_json_is_invalid_input(capsys):

@@ -2,6 +2,8 @@ from itertools import permutations
 
 import pytest
 from conftest import all_digraphs
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hyperchi
 from hyperchi import (
@@ -15,7 +17,7 @@ from hyperchi import (
     orientations,
     surjection_count,
 )
-from hyperchi.compositions import colorings, from_coloring, is_acyclic_arcs
+from hyperchi.compositions import _allowed_blocks, colorings, from_coloring, is_acyclic_arcs
 
 ORDERED_BELL = [1, 1, 3, 13, 75]
 
@@ -188,3 +190,13 @@ def test_signed_constrained_sum_vs_bruteforce_small():
             assert got == _bruteforce(ground, arcs, p)
             violated = any(p.index_of(w) < p.index_of(u) for u, w in arcs)
             assert got == (0 if violated else (-1) ** len(ground))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=127),
+       st.lists(st.integers(min_value=1, max_value=127), max_size=6))
+def test_allowed_blocks_are_the_blocks_meeting_each_set_at_most_once(ground, sets):
+    blocks = _allowed_blocks(ground, sets)
+    expected = [t for t in range(1, ground + 1) if not t & ~ground
+                and all((t & s).bit_count() <= 1 for s in sets)]
+    assert sorted(blocks) == expected

@@ -1,7 +1,12 @@
 import time
 
 import pytest
-from conftest import count_pairs_bruteforce, random_hypergraphs, small_hypergraphs
+from conftest import (
+    count_pairs_bruteforce,
+    count_pairs_by_levels,
+    random_hypergraphs,
+    small_hypergraphs,
+)
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -18,8 +23,16 @@ from hyperchi import (
     is_strictly_compatible,
     orientation_count,
 )
+from hyperchi.compositions import _acyclic_heads
+from hyperchi.orientations import _acyclic_trace_heads
 
 EXAMPLE_H = Hypergraph("1234", [{"1", "2", "3"}, {"2", "3", "4"}])
+
+
+def _cyclic_3_uniform(k):
+    labels = [f"v{i}" for i in range(k)]
+    return Hypergraph(labels, [{labels[i], labels[(i + 1) % k], labels[(i + 2) % k]}
+                               for i in range(k)])
 
 
 def test_is_acyclic_examples():
@@ -145,6 +158,31 @@ def test_pair_counts_match_bruteforce(h, n):
 
 
 @settings(max_examples=150, deadline=None)
+@given(small_hypergraphs(max_vertices=6), st.integers(min_value=0, max_value=5))
+@example(Hypergraph(()), 3)
+@example(Hypergraph("abc", [{"a"}, {"c"}, {"a"}]), 4)
+@example(_cyclic_3_uniform(6), 5)
+@example(_cyclic_3_uniform(7), 5)
+def test_pair_counts_match_level_filtering(h, n):
+    for strict in (False, True):
+        assert count_compatible_pairs(h, n, strict=strict) == count_pairs_by_levels(
+            h, n, strict=strict
+        ), (h, n, strict)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.frozensets(st.integers(min_value=1, max_value=63), max_size=7))
+@example(frozenset([0b000011, 0b001100, 0b110000]))  # three components
+@example(frozenset([0b000111, 0b000011, 0b000110]))  # nested
+@example(frozenset([0b001111, 0b000111, 0b110000, 0b100000]))  # nested, beside another
+def test_sink_sum_counts_acyclic_head_choices(traces):
+    listed = list(traces)
+    assert _acyclic_trace_heads(traces, {}) == sum(
+        1 for _ in _acyclic_heads(listed, listed, 6)
+    ), sorted(traces)
+
+
+@settings(max_examples=150, deadline=None)
 @given(small_hypergraphs(), st.integers(min_value=0, max_value=3),
        st.integers(min_value=0, max_value=8), st.booleans())
 # on the level above {c, d} the only wide traces are the two equal {a, b}
@@ -168,9 +206,7 @@ def test_repeated_and_one_vertex_edges_leave_counts_unchanged(h, n, pick, copy):
 
 
 def test_pair_counts_at_many_colors():
-    labels = [f"v{i}" for i in range(7)]
-    c3_7 = Hypergraph(labels, [{labels[i], labels[(i + 1) % 7], labels[(i + 2) % 7]}
-                               for i in range(7)])
+    c3_7 = _cyclic_3_uniform(7)
     start = time.perf_counter()
     loose = count_compatible_pairs(c3_7, 40)
     strict = count_compatible_pairs(c3_7, 40, strict=True)
