@@ -34,9 +34,7 @@ from .hypergraph import (
     Hypergraph,
     antipode,
     disjoint_union,
-    from_json_dict,
     iterated_coproduct,
-    to_json_dict,
 )
 from .invariant import (
     ConstraintSystem,

@@ -12,8 +12,11 @@ Verbs:
   path          invariant of a path family; optional coproduct split
   verify        cross-method agreement checks; exit 2 on any disagreement
 
-Inputs are JSON objects: a file path, ``-`` for stdin, or inline text (text
-that starts with ``{`` or ``[`` is read inline).
+Inputs are JSON objects, read by one rule: ``-`` is stdin, text that
+decodes as JSON is inline (so ``7`` or ``null`` is refused as not an
+object, and inline JSON wins over a file of the same name), text that
+starts with ``{`` or ``[`` but does not decode is invalid JSON, and
+anything else is a file path.  ``jsonio`` does all the checking.
 Output is JSON by default (``--format text`` for prose).  Exit codes:
 0 success, 1 invalid input or command-line usage, 2 verification
 mismatch or an internal arithmetic error (an exact count that came out
@@ -36,7 +39,7 @@ from .invariant import (
     chi_on_formal_sum,
     chi_polynomial,
 )
-from .jsonio import SchemaError, as_graph, load_json, parse_object, serialize
+from .jsonio import SchemaError, as_graph, labels, load_json, parse_object, serialize
 from .orientations import acyclic_orientations, count_compatible_pairs, orientation_count
 from .polynomial import Polynomial
 from .submonoids import (
@@ -56,14 +59,24 @@ from .submonoids import (
 
 
 def _load(source: str):
+    # the rule of the module docstring; text starting with { or [ is not
+    # decoded here, so parse_object decodes it once or says why it cannot
     if source == "-":
         text = sys.stdin.read()
-    elif source.lstrip().startswith(("{", "[")):
+    elif source.lstrip().startswith(("{", "[")) or _decodes(source):
         text = source
     else:
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()
     return parse_object(text)
+
+
+def _decodes(text: str) -> bool:
+    try:
+        json.loads(text)
+    except ValueError:  # json.JSONDecodeError
+        return False
+    return True
 
 
 def _expect(obj, cls, what: str):
@@ -193,9 +206,7 @@ def _cmd_path(args) -> int:
             block = load_json(args.coproduct)
         except SchemaError as exc:
             raise SchemaError(f"--coproduct: {exc}") from None
-        if not isinstance(block, list) or not all(isinstance(v, str) for v in block):
-            raise SchemaError("--coproduct expects a JSON array of vertex labels")
-        left, right = path_coproduct(alpha, block)
+        left, right = path_coproduct(alpha, labels(block, "--coproduct"))
         payload = {
             "restriction": {"display": str(left), **serialize(left)},
             "contraction": {"display": str(right), **serialize(right)},

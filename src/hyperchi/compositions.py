@@ -10,7 +10,8 @@ The one cycle test, the bitmask backtracker ``_acyclic_heads``, lives
 here as the lowest module that needs it: ``is_acyclic_arcs`` runs it on
 arc sets and ``orientations`` on head choices of hypergraph edges.
 ``_allowed_blocks`` lists the blocks of a vertex mask that meet each edge
-at most once, the top colour classes the compatible-pair count peels.
+at most once, the top colour classes the compatible-pair count peels, and
+``_components`` joins overlapping masks into connected components.
 
 Vertex labels are strings; every enumeration order is derived from the
 lexicographic order on labels so output is deterministic.
@@ -256,6 +257,27 @@ def _allowed_blocks(ground: int, sets) -> list:
         blocks += [t | v for t in blocks if not t & banned]
         blocks.append(v)
     return blocks
+
+
+def _components(masks) -> list:
+    """The connected components of the masks, joined where they overlap: a
+    (union, members) pair per component, in no fixed order.
+
+    Each mask merges the components it meets; these are pairwise disjoint,
+    so a component meets the merged union iff it meets the mask itself.
+    """
+    parts: list = []
+    for m in masks:
+        union, members, apart = m, [m], []
+        for part in parts:
+            if part[0] & m:
+                union |= part[0]
+                members += part[1]
+            else:
+                apart.append(part)
+        apart.append((union, members))
+        parts = apart
+    return parts
 
 
 def is_acyclic_arcs(vertices: Iterable[str], arcs: Iterable[tuple]) -> bool:

@@ -23,15 +23,21 @@ c its number of connected components (isolated vertices count).
 follows the number of faces rather than the ordered Bell number of the
 vertex count.  ``_bit_edges`` is the one label-to-bit map the mask
 routes of the package share.
+
+The constructor is the one place that checks edges (each nonempty and
+inside the vertex set), for library callers and parsed input alike; the
+input format only adds its shape checks on top.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping
 
+from .compositions import SetDecomposition, _components
+
 # enumerate_set_compositions is re-exported, so hypergraph.enumerate_set_compositions
 # keeps resolving for code that looks it up here
-from .compositions import SetDecomposition, enumerate_set_compositions  # noqa: F401
+from .compositions import enumerate_set_compositions  # noqa: F401
 
 
 class Hypergraph:
@@ -256,72 +262,8 @@ def antipode(h: Hypergraph) -> FormalSum:
             if labelled is None:
                 labelled = members[e] = [v for i, v in enumerate(labels) if e >> i & 1]
             term_edges.append(labelled)
-        terms[Hypergraph(h.vertices, term_edges)] = (-1) ** _component_count(face, len(labels))
+        parts = _components(face)
+        covered = sum(union for union, _ in parts)  # the unions are disjoint
+        isolated = len(labels) - covered.bit_count()
+        terms[Hypergraph(h.vertices, term_edges)] = (-1) ** (len(parts) + isolated)
     return FormalSum(terms, h.vertices)
-
-
-def _component_count(edges, width: int) -> int:
-    """Connected components of the edge masks over ``width`` vertex bits."""
-    blocks: list = []  # pairwise disjoint unions of edges
-    for e in edges:
-        joined = e
-        apart = []
-        for block in blocks:
-            if block & joined:
-                joined |= block
-            else:
-                apart.append(block)
-        apart.append(joined)
-        blocks = apart
-    covered = 0
-    for block in blocks:
-        covered |= block
-    return len(blocks) + width - covered.bit_count()
-
-
-def to_json_dict(h: Hypergraph) -> dict:
-    """Canonical JSON form: sorted vertices, edges sorted by (size, labels)."""
-    return {
-        "vertices": sorted(h.vertices),
-        "edges": [sorted(e) for e in h._canon],
-    }
-
-
-def _json_vertices(data: dict) -> list:
-    """The "vertices" array of a JSON object, checked to hold distinct strings
-    of valid Unicode (a JSON \\ud800 escape gives a lone surrogate)."""
-    vertices = data.get("vertices")
-    if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
-        raise ValueError("'vertices' must be an array of strings")
-    for v in vertices:
-        if not v.isascii() and any("\ud800" <= ch <= "\udfff" for ch in v):
-            raise ValueError(f"vertex label {v!r} is not valid Unicode")
-    if len(set(vertices)) != len(vertices):
-        dup = sorted(v for v in set(vertices) if vertices.count(v) > 1)
-        raise ValueError(f"duplicate vertex labels: {dup}")
-    return vertices
-
-
-def from_json_dict(data) -> Hypergraph:
-    if not isinstance(data, dict):
-        raise ValueError("hypergraph JSON must be an object")
-    for key in ("vertices", "edges"):
-        if key not in data:
-            raise ValueError(f"missing {key!r}")
-    vset = frozenset(_json_vertices(data))
-    edges = data["edges"]
-    if not isinstance(edges, list):
-        raise ValueError("'edges' must be an array")
-    parsed = []
-    for i, e in enumerate(edges):
-        if not isinstance(e, list) or not all(isinstance(v, str) for v in e):
-            raise ValueError(f"edges[{i}]: must be an array of strings")
-        if not e:
-            raise ValueError(f"edges[{i}]: empty edge")
-        if len(set(e)) != len(e):
-            raise ValueError(f"edges[{i}]: duplicate vertex labels")
-        unknown = sorted(set(e) - vset)
-        if unknown:
-            raise ValueError(f"edges[{i}]: unknown vertices {unknown}")
-        parsed.append(e)
-    return Hypergraph(vset, parsed)

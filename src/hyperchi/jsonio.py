@@ -1,4 +1,4 @@
-"""JSON schemas for all object kinds, with auto-detection.
+"""The JSON input format, the only module that knows it.
 
 Each kind is recognized by its payload key:
 
@@ -10,15 +10,21 @@ Each kind is recognized by its payload key:
   path family   {"vertices": [...], "paths": [[...], ...]}    (ordered)
 
 "edges" parses as a hypergraph; a graph is the special case where every
-edge has two vertices (the chromatic front end checks this).  Validation
-failures raise ``SchemaError`` naming the offending element or axiom.
+edge has two vertices (the chromatic front end checks this).
+
+Only the shape is checked here: ``labels`` refuses an array that is not
+made of distinct strings of valid Unicode, for "vertices" and for every
+inner array.  Empty members, unknown vertices and each kind's axioms are
+left to the constructors, which check them for library callers too.
+Every failure raises ``SchemaError`` naming the offending element or
+axiom.
 """
 
 from __future__ import annotations
 
 import json
 
-from .hypergraph import Hypergraph, from_json_dict, _json_vertices, to_json_dict
+from .hypergraph import Hypergraph, _edge_key
 from .submonoids import (
     BuildingSet,
     PathFamily,
@@ -32,42 +38,28 @@ class SchemaError(ValueError):
     pass
 
 
-_KIND_KEYS = {
-    "edges": "hypergraph",
-    "faces": "complex",
-    "sets": "building_set",
-    "parts": "partition",
-    "paths": "path_family",
+# payload key -> constructor; each kind stores its members under that name
+_KINDS = {
+    "edges": Hypergraph,
+    "faces": SimplicialComplex,
+    "sets": BuildingSet,
+    "parts": SetPartition,
+    "paths": PathFamily,
 }
 
 
-def _string_lists(data: dict, key: str, allow_empty_inner: bool = False) -> list:
-    value = data.get(key)
-    if not isinstance(value, list):
-        raise SchemaError(f"'{key}' must be an array of arrays")
-    out = []
-    for i, inner in enumerate(value):
-        if not isinstance(inner, list) or not all(isinstance(v, str) for v in inner):
-            raise SchemaError(f"{key}[{i}]: must be an array of strings")
-        if not inner and not allow_empty_inner:
-            raise SchemaError(f"{key}[{i}]: must not be empty")
-        if len(set(inner)) != len(inner):
-            raise SchemaError(f"{key}[{i}]: duplicate vertex labels")
-        out.append(inner)
-    return out
-
-
-def detect_kind(data: dict) -> str:
-    if not isinstance(data, dict):
-        raise SchemaError("input must be a JSON object")
-    kinds = [kind for key, kind in _KIND_KEYS.items() if key in data]
-    if not kinds:
-        raise SchemaError(
-            "object has none of the payload keys " + str(sorted(_KIND_KEYS))
-        )
-    if len(kinds) > 1:
-        raise SchemaError(f"ambiguous object: found {sorted(kinds)}")
-    return kinds[0]
+def labels(value, where: str) -> list:
+    """value, checked to be an array of distinct strings of valid Unicode
+    (a JSON \\ud800 escape gives a lone surrogate, which UTF-8 cannot
+    encode)."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise SchemaError(f"{where}: must be an array of strings")
+    if len(set(value)) != len(value):
+        raise SchemaError(f"{where}: duplicate vertex labels")
+    for v in value:
+        if not v.isascii() and any("\ud800" <= ch <= "\udfff" for ch in v):
+            raise SchemaError(f"{where}: label {v!r} is not valid Unicode")
+    return value
 
 
 def load_json(text: str):
@@ -83,20 +75,21 @@ def parse_object(data):
     """Parse a dict (or JSON text) into the matching domain object."""
     if isinstance(data, str):
         data = load_json(data)
-    kind = detect_kind(data)
+    if not isinstance(data, dict):
+        raise SchemaError("input must be a JSON object")
+    keys = [key for key in _KINDS if key in data]
+    if not keys:
+        raise SchemaError("object has none of the payload keys " + str(sorted(_KINDS)))
+    if len(keys) > 1:
+        raise SchemaError(f"ambiguous object: found {sorted(keys)}")
+    key = keys[0]
+    vertices = labels(data.get("vertices"), "vertices")
+    members = data[key]
+    if not isinstance(members, list):
+        raise SchemaError(f"{key}: must be an array of arrays")
+    members = [labels(inner, f"{key}[{i}]") for i, inner in enumerate(members)]
     try:
-        if kind == "hypergraph":
-            return from_json_dict(data)
-        vertices = _json_vertices(data)
-        if kind == "complex":
-            return SimplicialComplex(vertices, _string_lists(data, "faces", True))
-        if kind == "building_set":
-            return BuildingSet(vertices, _string_lists(data, "sets"))
-        if kind == "partition":
-            return SetPartition(vertices, _string_lists(data, "parts"))
-        return PathFamily(vertices, _string_lists(data, "paths"))
-    except SchemaError:
-        raise
+        return _KINDS[key](vertices, members)
     except ValueError as exc:
         raise SchemaError(str(exc)) from None
 
@@ -114,25 +107,25 @@ def as_graph(obj) -> SimpleGraph:
 
 
 def serialize(obj) -> dict:
-    """Canonical JSON dict for any domain object (round-trips parse_object)."""
-    if isinstance(obj, Hypergraph):
-        return to_json_dict(obj)
+    """Canonical JSON dict for any domain object (round-trips parse_object):
+    sorted vertices, and members sorted by ``_edge_key``, the (size, labels)
+    key of ``Hypergraph._canon``, except paths, which keep their stored
+    order."""
     if isinstance(obj, SimpleGraph):
-        return to_json_dict(obj.to_hypergraph())
-    key_edges = _sorted_inner
-    if isinstance(obj, SimplicialComplex):
-        return {"vertices": sorted(obj.vertices), "faces": key_edges(obj.faces)}
-    if isinstance(obj, BuildingSet):
-        return {"vertices": sorted(obj.vertices), "sets": key_edges(obj.sets)}
-    if isinstance(obj, SetPartition):
-        return {"vertices": sorted(obj.vertices), "parts": key_edges(obj.parts)}
-    if isinstance(obj, PathFamily):
-        return {"vertices": sorted(obj.vertices), "paths": [list(p) for p in obj.paths]}
+        obj = obj.to_hypergraph()
+    for key, kind in _KINDS.items():
+        if isinstance(obj, kind):
+            members = getattr(obj, key)
+            if kind is PathFamily:
+                members = [list(p) for p in members]
+            else:
+                members = _sorted_inner(members)
+            return {"vertices": sorted(obj.vertices), key: members}
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def _sorted_inner(family) -> list:
-    return [sorted(s) for s in sorted(family, key=lambda s: (len(s), tuple(sorted(s))))]
+    return [sorted(s) for s in sorted(family, key=_edge_key)]
 
 
 def dumps_canonical(obj) -> str:

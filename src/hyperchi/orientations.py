@@ -19,7 +19,7 @@ from math import comb, factorial
 from typing import Iterator, Mapping, Sequence
 
 # colorings is re-exported, so orientations.colorings keeps working
-from .compositions import _acyclic_heads, _allowed_blocks, colorings  # noqa: F401
+from .compositions import _acyclic_heads, _allowed_blocks, _components, colorings  # noqa: F401
 from .hypergraph import Hypergraph, _bit_edges
 
 
@@ -197,16 +197,7 @@ def _acyclic_trace_heads(traces: frozenset, memo: dict) -> int:
     if len(traces) < 2:
         ways = memo[traces] = next(iter(traces)).bit_count() if traces else 1
         return ways
-    parts: list = []  # (union, traces) of each component found so far
-    for t in traces:
-        union, group, apart = t, [t], []
-        for part in parts:
-            if part[0] & t:
-                union |= part[0]
-                group += part[1]
-            else:
-                apart.append(part)
-        parts = apart + [(union, group)]
+    parts = _components(traces)
     if len(parts) > 1:
         ways = 1
         for _, group in parts:

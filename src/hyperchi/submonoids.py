@@ -182,7 +182,7 @@ class BuildingSet:
         for s in sets:
             s = frozenset(s)
             if not s:
-                raise ValueError("a connected set cannot be empty")
+                raise ValueError("sets must be nonempty")
             if not s <= self.vertices:
                 raise ValueError(f"set uses unknown vertices: {sorted(s - self.vertices)}")
             family.add(s)

@@ -196,13 +196,64 @@ def test_invalid_input_exit_code(capsys):
         (["skeletons", '{"vertices":["a","b"],"sets":[["a"],["b","b"]]}'], "sets[1]"),
         (["verify", '{"vertices":["a","b"],"faces":[["a","a"]]}'], "faces[0]"),
         (["path", '{"vertices":["a","b"],"paths":[["a","b","a"]]}'], "paths[0]"),
+        (["path", '{"vertices":["a","b"],"paths":[["a","b"]]}', "--coproduct", '["a","a"]'],
+         "--coproduct"),
     ],
-    ids=["partition", "skeletons", "verify-complex", "path"],
+    ids=["partition", "skeletons", "verify-complex", "path", "path-coproduct"],
 )
 def test_repeated_label_inside_an_array_is_invalid_input(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err == f"error: {message}: duplicate vertex labels\n"
+
+
+# the verb that reads each payload key, and the noun its constructor uses
+_KIND_VERBS = {"edges": "chi", "faces": "verify", "sets": "skeletons",
+               "parts": "partition", "paths": "path"}
+_FAULTS = {
+    "non-string": ([["a", 1]], "{key}[0]: must be an array of strings"),
+    "repeated": ([["a", "a"]], "{key}[0]: duplicate vertex labels"),
+    "empty": ([[]], "{key} must be nonempty"),
+    "unknown": ([["a", "c"]], "{noun} uses unknown vertices: ['c']"),
+}
+
+
+@pytest.mark.parametrize(
+    "key, fault",
+    [
+        pytest.param(key, fault, id=f"{key}-{fault}")
+        for key in _KIND_VERBS
+        for fault in _FAULTS
+        if (key, fault) != ("faces", "empty")  # a complex accepts the empty face
+    ],
+)
+def test_one_message_per_fault_across_kinds(capsys, key, fault):
+    members, message = _FAULTS[fault]
+    doc = json.dumps({"vertices": ["a", "b"], key: members})
+    code, out, err = run(capsys, _KIND_VERBS[key], doc)
+    assert code == 1 and out == ""
+    assert err == "error: " + message.format(key=key, noun=key[:-1]) + "\n"
+
+
+@pytest.mark.parametrize("source", ["7", "null", "true", '"x"'])
+def test_inline_json_that_is_not_an_object_is_invalid_input(capsys, source):
+    code, out, err = run(capsys, "chi", source)
+    assert code == 1 and out == ""
+    assert err == "error: input must be a JSON object\n"
+
+
+def test_inline_json_wins_over_a_file_of_the_same_name(tmp_path, capsys, monkeypatch):
+    (tmp_path / "7").write_text(EXAMPLE_JSON)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "chi", "7")
+    assert code == 1 and out == ""
+    assert err == "error: input must be a JSON object\n"
+
+
+def test_malformed_inline_json_is_invalid_input(capsys):
+    code, out, err = run(capsys, "chi", '{"vertices":')
+    assert code == 1 and out == ""
+    assert err.startswith("error: invalid JSON: ") and err.count("\n") == 1
 
 
 def test_deeply_nested_json_is_invalid_input(capsys):

@@ -18,10 +18,9 @@ from hyperchi import (
     antipode,
     disjoint_union,
     enumerate_set_compositions,
-    from_json_dict,
     iterated_coproduct,
-    to_json_dict,
 )
+from hyperchi.jsonio import SchemaError, parse_object, serialize
 
 EXAMPLE_H = Hypergraph("1234", [{"1", "2", "3"}, {"2", "3", "4"}])
 
@@ -263,28 +262,38 @@ def test_antipode_collapses_terms():
 
 
 def test_json_roundtrip_and_canonical_form():
-    d = to_json_dict(EXAMPLE_H)
+    d = serialize(EXAMPLE_H)
     assert d == {
         "vertices": ["1", "2", "3", "4"],
         "edges": [["1", "2", "3"], ["2", "3", "4"]],
     }
-    assert from_json_dict(d) == EXAMPLE_H
+    assert parse_object(d) == EXAMPLE_H
     # edges come out sorted by (size, labels) with duplicates adjacent
     h = Hypergraph("ab", [{"a", "b"}, {"a"}, {"a", "b"}])
-    assert to_json_dict(h)["edges"] == [["a"], ["a", "b"], ["a", "b"]]
+    assert serialize(h)["edges"] == [["a"], ["a", "b"], ["a", "b"]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_hypergraphs())
+@example(Hypergraph("ab", [{"a", "b"}, {"a"}, {"a", "b"}, {"b"}]))
+def test_json_roundtrip_over_small_hypergraphs(h):
+    d = serialize(h)
+    assert parse_object(d) == h
+    assert parse_object(json.dumps(d)) == h
+    assert d["edges"] == [sorted(e) for e in h._canon]
 
 
 def test_json_rejects_malformed():
-    with pytest.raises(ValueError, match="unknown"):
-        from_json_dict({"vertices": ["a"], "edges": [["a", "b"]]})
-    with pytest.raises(ValueError, match="empty"):
-        from_json_dict({"vertices": ["a", "b"], "edges": [[]]})
-    with pytest.raises(ValueError, match="duplicate"):
-        from_json_dict({"vertices": ["a", "a"], "edges": []})
-    with pytest.raises(ValueError, match="duplicate"):
-        from_json_dict({"vertices": ["a", "b"], "edges": [["a", "a"]]})
-    with pytest.raises(ValueError):
-        from_json_dict(json.loads('{"vertices": ["a"]}'))
+    with pytest.raises(SchemaError, match="unknown"):
+        parse_object({"vertices": ["a"], "edges": [["a", "b"]]})
+    with pytest.raises(SchemaError, match="empty"):
+        parse_object({"vertices": ["a", "b"], "edges": [[]]})
+    with pytest.raises(SchemaError, match="duplicate"):
+        parse_object({"vertices": ["a", "a"], "edges": []})
+    with pytest.raises(SchemaError, match="duplicate"):
+        parse_object({"vertices": ["a", "b"], "edges": [["a", "a"]]})
+    with pytest.raises(SchemaError):
+        parse_object(json.loads('{"vertices": ["a"]}'))
 
 
 def test_exhaustive_family_shape():
