@@ -9,15 +9,9 @@ and families of paths.
 """
 
 from .combinatorics import (
-    alternating_binomial_sum,
     bernoulli,
-    coarsenings,
-    composition_degree,
-    f_eval_bruteforce,
     f_polynomial,
-    f_reciprocity_check,
     power_sum_polynomial,
-    surjection_count,
 )
 from .compositions import (
     SetComposition,
@@ -25,9 +19,6 @@ from .compositions import (
     colorings,
     enumerate_decompositions,
     enumerate_set_compositions,
-    refinements,
-    shuffles,
-    signed_constrained_sum,
 )
 from .hypergraph import (
     FormalSum,

@@ -54,7 +54,7 @@ from .submonoids import (
     path_to_graph,
     skeleton_orientation,
     skeletons,
-    tubes_polynomial,
+    tubes,
 )
 
 
@@ -135,9 +135,14 @@ def _cmd_orientations(args) -> int:
         raise SchemaError("--strict needs --pairs N")
     if args.pairs is not None and args.pairs < 0:
         raise SchemaError("--pairs expects a nonnegative number of colors")
-    # kept only for --list; otherwise counted as it streams
-    acyclic = list(acyclic_orientations(h)) if args.list else acyclic_orientations(h)
-    payload = {"total": orientation_count(h), "acyclic": sum(1 for _ in acyclic)}
+    if args.list:
+        acyclic = list(acyclic_orientations(h))
+        n_acyclic = len(acyclic)
+    else:
+        # with one colour every acyclic orientation is compatible with the
+        # constant colouring, so the pair count counts them without a walk
+        n_acyclic = count_compatible_pairs(h, 1)
+    payload = {"total": orientation_count(h), "acyclic": n_acyclic}
     lines = [f"orientations: {payload['total']}", f"acyclic: {payload['acyclic']}"]
     if args.pairs is not None:
         count = count_compatible_pairs(h, args.pairs, strict=args.strict)
@@ -290,9 +295,14 @@ def _check_object(obj, max_n: int, record) -> None:
             == chi_polynomial(obj.cliquey_graph().to_hypergraph()),
         )
     elif isinstance(obj, PathFamily):
+        # the defining sum on the drawn graph's tubes, at the |V|+1 points
+        # that fix a polynomial of degree |V|
+        poly = path_polynomial(obj)
+        tube_h = tubes(path_to_graph(obj)).to_hypergraph()
         record(
             "path family invariant matches its drawn graph",
-            path_polynomial(obj) == tubes_polynomial(path_to_graph(obj)),
+            all(poly(n) == chi_eval_definition(tube_h, n)
+                for n in range(len(obj.vertices) + 1)),
         )
         for p in obj.paths:
             k = len(p)
@@ -392,9 +402,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--at", type=int, action="append", default=[])
 
     p = add("path", _cmd_path, "invariant of a path family")
-    p.add_argument("--at", type=int, action="append", default=[])
-    p.add_argument("--coproduct", metavar="BLOCK",
-                   help="JSON array of labels: print the split along (BLOCK, rest)")
+    # the coproduct prints no polynomial, so there is nothing to evaluate
+    either = p.add_mutually_exclusive_group()
+    either.add_argument("--at", type=int, action="append", default=[])
+    either.add_argument("--coproduct", metavar="BLOCK",
+                        help="JSON array of labels: print the split along (BLOCK, rest)")
 
     p = sub.add_parser("verify", help="cross-method agreement checks")
     p.add_argument("inputs", nargs="*", help="JSON files (default: built-in corpus)")

@@ -1,4 +1,5 @@
-"""Ordered set decompositions and compositions of a finite label set.
+"""Ordered set decompositions and compositions of a finite label set, and
+the bitmask helpers the counting engines share.
 
 A decomposition is a sequence of pairwise disjoint blocks whose union is
 the ground set; empty blocks are allowed.  A composition additionally
@@ -147,50 +148,6 @@ def enumerate_decompositions(ground: Iterable[str], n: int) -> Iterator[SetDecom
         yield from_coloring(coloring, n)
 
 
-def refinements(comp: SetComposition) -> Iterator[SetComposition]:
-    """All compositions splitting each block into consecutive sub-blocks."""
-    per_block = [
-        [c.blocks for c in enumerate_set_compositions(block)] for block in comp.blocks
-    ]
-    for choice in product(*per_block):
-        blocks: tuple = ()
-        for piece in choice:
-            blocks += piece
-        yield SetComposition(blocks, comp.ground)
-
-
-def shuffles(p: SetComposition, q: SetComposition) -> Iterator[SetComposition]:
-    """Compositions of the disjoint union restricting to p and to q.
-
-    A shuffle interleaves the blocks of p and q, merging a block of each
-    at a position where both are consumed; dropping empty intersections
-    recovers p on one ground set and q on the other.
-    """
-    if p.ground & q.ground:
-        raise ValueError("shuffled compositions must have disjoint grounds")
-    ground = p.ground | q.ground
-
-    def rec(i: int, j: int):
-        if i == len(p.blocks) and j == len(q.blocks):
-            yield ()
-            return
-        if i < len(p.blocks):
-            for tail in rec(i + 1, j):
-                yield (p.blocks[i],) + tail
-        if j < len(q.blocks):
-            for tail in rec(i, j + 1):
-                yield (q.blocks[j],) + tail
-        if i < len(p.blocks) and j < len(q.blocks):
-            for tail in rec(i + 1, j + 1):
-                yield (p.blocks[i] | q.blocks[j],) + tail
-
-    seen = set()
-    for blocks in rec(0, 0):
-        if blocks not in seen:
-            seen.add(blocks)
-            yield SetComposition(blocks, ground)
-
-
 def _acyclic_heads(edges: list, allowed: list, width: int) -> Iterator[list]:
     """Every acyclic choice of one head bit per edge mask, the head of edge
     i drawn from allowed[i], in lexicographic order (low bits first).
@@ -297,27 +254,3 @@ def is_acyclic_arcs(vertices: Iterable[str], arcs: Iterable[tuple]) -> bool:
     if any(edge == head for edge, head in zip(edges, heads)):
         return False
     return next(_acyclic_heads(edges, heads, len(bit)), None) is not None
-
-
-def signed_constrained_sum(
-    ground: Iterable[str], arcs: Iterable[tuple], comp: SetComposition
-) -> int:
-    """sum of (-1)^length over refinements Q of comp with Q(v) < Q(w) per arc.
-
-    The arc set must be acyclic.  The closed value is 0 when some arc
-    already violates the block order of comp, and (-1)^|ground| otherwise;
-    this function computes the sum by honest enumeration.
-    """
-    ground = frozenset(ground)
-    arcs = tuple(arcs)
-    if comp.ground != ground:
-        raise ValueError("composition is not over the given ground set")
-    if any(u == w for u, w in arcs):
-        raise ValueError("arc set has a self-loop")
-    if not is_acyclic_arcs(ground, arcs):
-        raise ValueError("arc set has a directed cycle")
-    total = 0
-    for q in refinements(comp):
-        if all(q.index_of(u) < q.index_of(w) for u, w in arcs):
-            total += (-1) ** len(q)
-    return total

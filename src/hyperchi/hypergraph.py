@@ -35,8 +35,8 @@ from typing import Iterable, Iterator, Mapping
 
 from .compositions import SetDecomposition, _components
 
-# enumerate_set_compositions is re-exported, so hypergraph.enumerate_set_compositions
-# keeps resolving for code that looks it up here
+# nothing here calls enumerate_set_compositions; bench/test_bench.py checks
+# that the tracer wraps it under hypergraph too, so the name stays
 from .compositions import enumerate_set_compositions  # noqa: F401
 
 

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations_with_replacement, product
+from fractions import Fraction
+from itertools import combinations, combinations_with_replacement, product
 from math import comb
 
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from hyperchi import (
     Polynomial,
     RootedForest,
     RootedTree,
+    SetComposition,
     acyclic_orientations,
     all_orientations,
     colorings,
@@ -28,7 +30,7 @@ from hyperchi import (
     is_strictly_compatible,
     iterated_coproduct,
 )
-from hyperchi.compositions import _acyclic_heads
+from hyperchi.compositions import _acyclic_heads, is_acyclic_arcs
 from hyperchi.hypergraph import _bit_edges
 
 
@@ -226,3 +228,152 @@ def skeletons_by_recursion(b: BuildingSet) -> list:
         return product(*[trees(induced(x, c)) for c in x.connected_components()])
 
     return [RootedForest(combo) for combo in choices(b)]
+
+
+# ---------------------------------------------------------------------------
+# counting identities of compositions and chain power sums
+
+
+def surjection_count(n: int, m: int) -> int:
+    """Number of surjections from an m-set onto an n-set.
+
+    Inclusion-exclusion: sum_{k=0}^{n} (-1)^(n-k) C(n,k) k^m.
+    """
+    if n < 0 or m < 0:
+        raise ValueError("arguments must be >= 0")
+    return sum((-1) ** (n - k) * comb(n, k) * k**m for k in range(n + 1))
+
+
+def alternating_binomial_sum(n: int, poly: Polynomial) -> Fraction:
+    """sum_{k=0}^{n} (-1)^(n-k) C(n,k) P(k); zero whenever deg P < n."""
+    if n < 0:
+        return Fraction(0)
+    return Fraction(
+        sum(((-1) ** (n - k) * comb(n, k)) * poly(k) for k in range(n + 1))
+    )
+
+
+def composition_degree(parts) -> int:
+    """d_t = p_1 + ... + p_t + t, the degree of the chain power sum."""
+    return sum(parts) + len(parts)
+
+
+def f_eval_bruteforce(parts, n: int) -> int:
+    """Direct nested-sum evaluation; oracle for f_polynomial.
+
+    Returns 0 when the chain is longer than n (no strictly increasing
+    choice of values exists); the empty chain gives 1.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    parts = tuple(parts)
+    total = 0
+    for ks in combinations(range(n), len(parts)):
+        term = 1
+        for k, p in zip(ks, parts):
+            term *= k**p
+        total += term
+    return total
+
+
+def coarsenings(parts):
+    """All sequences obtained by summing contiguous runs of parts.
+
+    A sequence of t parts has 2^(t-1) coarsenings (cut or merge at each
+    of the t-1 gaps); the empty sequence coarsens only to itself.
+    """
+    parts = tuple(parts)
+    t = len(parts)
+    if t == 0:
+        yield ()
+        return
+    for mask in range(1 << (t - 1)):
+        out = []
+        acc = parts[0]
+        for i in range(1, t):
+            if mask >> (i - 1) & 1:
+                acc += parts[i]
+            else:
+                out.append(acc)
+                acc = parts[i]
+        out.append(acc)
+        yield tuple(out)
+
+
+def f_reciprocity_check(parts, n: int) -> bool:
+    """Whether F_p(-n) == (-1)^d_t * sum over coarsenings q of F_q(n+1).
+
+    Holds for every sequence of positive exponents (and the empty one);
+    a leading zero exponent breaks it, e.g. F_0(-n) = -n != -(n+1).
+    """
+    parts = tuple(parts)
+    lhs = f_polynomial(parts)(-n)
+    sign = (-1) ** composition_degree(parts)
+    rhs = sign * sum(f_polynomial(q)(n + 1) for q in coarsenings(parts))
+    return lhs == rhs
+
+
+def refinements(comp: SetComposition):
+    """All compositions splitting each block into consecutive sub-blocks."""
+    per_block = [
+        [c.blocks for c in enumerate_set_compositions(block)] for block in comp.blocks
+    ]
+    for choice in product(*per_block):
+        blocks: tuple = ()
+        for piece in choice:
+            blocks += piece
+        yield SetComposition(blocks, comp.ground)
+
+
+def shuffles(p: SetComposition, q: SetComposition):
+    """Compositions of the disjoint union restricting to p and to q.
+
+    A shuffle interleaves the blocks of p and q, merging a block of each
+    at a position where both are consumed; dropping empty intersections
+    recovers p on one ground set and q on the other.
+    """
+    if p.ground & q.ground:
+        raise ValueError("shuffled compositions must have disjoint grounds")
+    ground = p.ground | q.ground
+
+    def rec(i: int, j: int):
+        if i == len(p.blocks) and j == len(q.blocks):
+            yield ()
+            return
+        if i < len(p.blocks):
+            for tail in rec(i + 1, j):
+                yield (p.blocks[i],) + tail
+        if j < len(q.blocks):
+            for tail in rec(i, j + 1):
+                yield (q.blocks[j],) + tail
+        if i < len(p.blocks) and j < len(q.blocks):
+            for tail in rec(i + 1, j + 1):
+                yield (p.blocks[i] | q.blocks[j],) + tail
+
+    seen = set()
+    for blocks in rec(0, 0):
+        if blocks not in seen:
+            seen.add(blocks)
+            yield SetComposition(blocks, ground)
+
+
+def signed_constrained_sum(ground, arcs, comp: SetComposition) -> int:
+    """sum of (-1)^length over refinements Q of comp with Q(v) < Q(w) per arc.
+
+    The arc set must be acyclic.  The closed value is 0 when some arc
+    already violates the block order of comp, and (-1)^|ground| otherwise;
+    this function computes the sum by honest enumeration.
+    """
+    ground = frozenset(ground)
+    arcs = tuple(arcs)
+    if comp.ground != ground:
+        raise ValueError("composition is not over the given ground set")
+    if any(u == w for u, w in arcs):
+        raise ValueError("arc set has a self-loop")
+    if not is_acyclic_arcs(ground, arcs):
+        raise ValueError("arc set has a directed cycle")
+    total = 0
+    for q in refinements(comp):
+        if all(q.index_of(u) < q.index_of(w) for u, w in arcs):
+            total += (-1) ** len(q)
+    return total

@@ -13,7 +13,15 @@ from itertools import combinations, product
 from math import comb
 
 import pytest
-from conftest import all_digraphs, exhaustive_hypergraphs, random_hypergraphs
+from conftest import (
+    all_digraphs,
+    coarsenings,
+    composition_degree,
+    exhaustive_hypergraphs,
+    f_eval_bruteforce,
+    random_hypergraphs,
+    signed_constrained_sum,
+)
 
 import hyperchi.combinatorics as combi
 from hyperchi import (
@@ -32,16 +40,12 @@ from hyperchi import (
     chi_on_formal_sum,
     chi_polynomial,
     chromatic_polynomial,
-    coarsenings,
-    composition_degree,
     count_compatible_pairs,
     enumerate_set_compositions,
-    f_eval_bruteforce,
     f_polynomial,
     partition_polynomial,
     path_coproduct,
     path_polynomial,
-    signed_constrained_sum,
     skeleton_orientation,
     skeletons,
 )

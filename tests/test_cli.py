@@ -1,9 +1,14 @@
+import io
 import json
 import tracemalloc
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
+from conftest import small_hypergraphs
+from hypothesis import example, given, settings
 
+from hyperchi import Hypergraph, Polynomial
 from hyperchi.cli import main
 from hyperchi.jsonio import SchemaError, dumps_canonical, parse_object, serialize
 
@@ -59,6 +64,30 @@ def test_orientations_count_streams(capsys):
     assert code == 0
     assert out == '{"acyclic": 5040, "total": 2097152}\n'
     assert peak < 600_000
+
+
+def test_orientations_counts_k8_without_walking(capsys):
+    labels = [f"v{i}" for i in range(8)]
+    edges = [[a, b] for i, a in enumerate(labels) for b in labels[i + 1:]]
+    code, out, _ = run(capsys, "orientations", json.dumps({"vertices": labels, "edges": edges}))
+    assert code == 0
+    assert '"acyclic": 40320' in out
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_hypergraphs())
+@example(Hypergraph(()))
+@example(Hypergraph("ab", [{"a", "b"}, {"a", "b"}, {"a"}]))
+def test_orientations_count_matches_listing(h):
+    # the count comes from the one-colour pair count, the list from the walk
+    def payload(*options):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["orientations", json.dumps(serialize(h)), *options]) == 0
+        return json.loads(out.getvalue())
+
+    listed = payload("--list")
+    assert payload()["acyclic"] == listed["acyclic"] == len(listed["orientations"]), h
 
 
 def test_orientations_pair_counts(capsys):
@@ -176,6 +205,19 @@ def test_verify_reports_disagreement_with_exit_2(capsys, monkeypatch):
     assert json.loads(out)["failures"] > 0
 
 
+def test_verify_path_line_fails_when_the_path_invariant_is_wrong(capsys, monkeypatch):
+    import hyperchi.submonoids as submonoids
+
+    right = submonoids.building_polynomial
+    monkeypatch.setattr(submonoids, "building_polynomial", lambda b: right(b) + Polynomial.ONE)
+    family = '{"vertices":["a","b","c","d"],"paths":[["a","b","c"],["d"]]}'
+    code, out, _ = run(capsys, "verify", family)
+    assert code == 2
+    checks = json.loads(out)["checks"]
+    line = [c for c in checks if c["identity"] == "path family invariant matches its drawn graph"]
+    assert len(line) == 1 and not line[0]["passed"]
+
+
 def test_invalid_input_exit_code(capsys):
     code, _, err = run(capsys, "chi", '{"vertices":["a"],"edges":[[]]}')
     assert code == 1 and "empty" in err
@@ -288,8 +330,14 @@ def test_lone_surrogate_label_is_invalid_input(capsys, argv):
 
 @pytest.mark.parametrize(
     "argv",
-    [["chi"], ["eval", EXAMPLE_JSON], ["colour", EXAMPLE_JSON]],
-    ids=["missing-input", "missing-at", "unknown-verb"],
+    [
+        ["chi"],
+        ["eval", EXAMPLE_JSON],
+        ["colour", EXAMPLE_JSON],
+        ["path", '{"vertices":["a","b"],"paths":[["a","b"]]}', "--coproduct", '["a"]',
+         "--at", "1"],
+    ],
+    ids=["missing-input", "missing-at", "unknown-verb", "path-coproduct-with-at"],
 )
 def test_usage_errors_exit_1(capsys, argv):
     code, out, err = run(capsys, *argv)

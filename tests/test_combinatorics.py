@@ -3,21 +3,23 @@ from itertools import product
 from math import comb
 
 import pytest
-from conftest import count_surjections_direct
+from conftest import (
+    alternating_binomial_sum,
+    coarsenings,
+    composition_degree,
+    count_surjections_direct,
+    f_eval_bruteforce,
+    f_reciprocity_check,
+    surjection_count,
+)
 
 from hyperchi import (
     Polynomial,
-    alternating_binomial_sum,
     bernoulli,
-    coarsenings,
     combinatorics,
-    composition_degree,
     enumerate_set_compositions,
-    f_eval_bruteforce,
     f_polynomial,
-    f_reciprocity_check,
     power_sum_polynomial,
-    surjection_count,
 )
 
 

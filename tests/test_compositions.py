@@ -1,7 +1,13 @@
 from itertools import permutations
 
 import pytest
-from conftest import all_digraphs
+from conftest import (
+    all_digraphs,
+    refinements,
+    shuffles,
+    signed_constrained_sum,
+    surjection_count,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,11 +17,7 @@ from hyperchi import (
     SetDecomposition,
     enumerate_decompositions,
     enumerate_set_compositions,
-    refinements,
-    shuffles,
-    signed_constrained_sum,
     orientations,
-    surjection_count,
 )
 from hyperchi.compositions import _allowed_blocks, colorings, from_coloring, is_acyclic_arcs
 

@@ -10,6 +10,7 @@ from conftest import (
     small_hypergraphs,
 )
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hyperchi import (
     ConstraintSystem,
@@ -226,6 +227,30 @@ def test_split_folds_match_closed_form(h):
 def test_defining_sum_matches_fold(h):
     for n in range(4):
         assert chi_eval_definition(h, n) == chi_eval_definition_by_fold(h, n), (h, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_hypergraphs(), st.integers(-3, 5), st.integers(-3, 5))
+@example(Hypergraph(()), 2, -1)
+@example(EXAMPLE_H, 1, 2)
+@example(EXAMPLE_H, -3, 5)
+@example(Hypergraph("ab", [{"a", "b"}, {"a", "b"}, {"a"}]), -2, 3)
+@example(Hypergraph(["é", "Ω", "字", "a"], [{"é", "Ω"}, {"Ω", "字"}, {"字", "a", "é"}]), 2, 2)
+@example(Hypergraph("abc"), -1, 4)
+@example(Hypergraph("abcd", [{"a", "b", "c", "d"}]), 3, -2)
+@example(Hypergraph("abc", [{"a"}, {"b"}, {"a"}, {"c"}]), -3, -3)
+@example(_path(6), 2, -1)
+@example(_cyclic_3_uniform(6), -1, 2)
+@example(_complete_graph(5), 1, -2)
+def test_convolution_over_restriction_and_contraction(h, x, y):
+    # chi(x + y) is the convolution of chi(x) and chi(y) along the split
+    # h|S (x) h/S, over every subset S of the vertices
+    labels = sorted(h.vertices)
+    total = 0
+    for mask in range(1 << len(labels)):
+        s = [v for i, v in enumerate(labels) if mask >> i & 1]
+        total += chi_polynomial(h.restrict(s))(x) * chi_polynomial(h.contract(s))(y)
+    assert chi_polynomial(h)(x + y) == total, (h, x, y)
 
 
 def test_defining_sum_places_nonempty_blocks_among_the_colors():
