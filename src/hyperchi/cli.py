@@ -187,9 +187,15 @@ def _serialize_forest(forest) -> list:
 
 def _cmd_skeletons(args) -> int:
     b = _expect(_load(args.input), BuildingSet, "a building set ('sets')")
-    forests = list(skeletons(b))
-    payload = {"count": len(forests)}
-    lines = [f"skeletons: {len(forests)}"]
+    if args.list:
+        forests = list(skeletons(b))
+        count = len(forests)
+    else:
+        # skeletons biject with acyclic orientations, which the one-colour
+        # pair count counts without building a forest
+        count = count_compatible_pairs(b.to_hypergraph(), 1)
+    payload = {"count": count}
+    lines = [f"skeletons: {count}"]
     if args.list:
         payload["skeletons"] = [_serialize_forest(f) for f in forests]
         lines += ["  " + repr(f) for f in forests]

@@ -22,7 +22,7 @@ c its number of connected components (isolated vertices count).
 ``antipode`` builds the faces directly from vertex masks, so its cost
 follows the number of faces rather than the ordered Bell number of the
 vertex count.  ``_bit_edges`` is the one label-to-bit map the mask
-routes of the package share.
+routes of the package share, and ``_mask_labels`` its inverse.
 
 The constructor is the one place that checks edges (each nonempty and
 inside the vertex set), for library callers and parsed input alike; the
@@ -127,6 +127,11 @@ def _bit_edges(h: Hypergraph) -> tuple:
     labels = sorted(h.vertices)
     bit = {v: 1 << i for i, v in enumerate(labels)}
     return labels, bit, [sum(bit[v] for v in e) for e in h.edges]
+
+
+def _mask_labels(mask: int, labels) -> list:
+    """The labels of the bits of a mask, in the order of labels."""
+    return [v for i, v in enumerate(labels) if mask >> i & 1]
 
 
 def disjoint_union(h1: Hypergraph, h2: Hypergraph) -> Hypergraph:
@@ -260,7 +265,7 @@ def antipode(h: Hypergraph) -> FormalSum:
         for e in face:
             labelled = members.get(e)
             if labelled is None:
-                labelled = members[e] = [v for i, v in enumerate(labels) if e >> i & 1]
+                labelled = members[e] = _mask_labels(e, labels)
             term_edges.append(labelled)
         parts = _components(face)
         covered = sum(union for union, _ in parts)  # the unions are disjoint

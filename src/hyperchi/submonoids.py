@@ -18,11 +18,11 @@ hypergraphs, and their invariants are computed through that embedding:
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import combinations, product
 from typing import Iterable, Iterator, Mapping
 
-from .hypergraph import Hypergraph, _edge_key
+from .compositions import _components
+from .hypergraph import Hypergraph, _bit_edges, _edge_key, _mask_labels
 from .invariant import chi_polynomial
 from .polynomial import Polynomial
 
@@ -44,6 +44,18 @@ def shg_coproduct(h: Hypergraph, left: Iterable[str]):
     edge meets the complement."""
     left = frozenset(left)
     return simplify(h.restrict(left)), simplify(h.contract(left))
+
+
+def _block_and_rest(vertices: frozenset, left: Iterable[str], right) -> tuple:
+    """The block of a two-block coproduct and its complement, after checking
+    the block against the vertex set and, when given, the second block."""
+    left = frozenset(left)
+    if not left <= vertices:
+        raise ValueError("block is not a subset of the vertices")
+    rest = vertices - left
+    if right is not None and frozenset(right) != rest:
+        raise ValueError("blocks do not partition the vertex set")
+    return left, rest
 
 
 class SimpleGraph:
@@ -73,34 +85,11 @@ class SimpleGraph:
         es = ", ".join("-".join(sorted(e)) for e in sorted(self.edges, key=_edge_key))
         return f"SimpleGraph({{{','.join(sorted(self.vertices))}}}; {es})"
 
-    def neighbors(self, v: str) -> frozenset:
-        return frozenset(w for e in self.edges if v in e for w in e if w != v)
-
     def induced(self, subset: Iterable[str]) -> "SimpleGraph":
         sub = frozenset(subset)
         if not sub <= self.vertices:
             raise ValueError("not a subset of the vertices")
         return SimpleGraph(sub, [e for e in self.edges if e <= sub])
-
-    def connected_components(self) -> tuple:
-        remaining = set(self.vertices)
-        comps = []
-        while remaining:
-            start = min(remaining)
-            comp = {start}
-            queue = deque([start])
-            while queue:
-                v = queue.popleft()
-                for w in self.neighbors(v):
-                    if w in remaining and w not in comp:
-                        comp.add(w)
-                        queue.append(w)
-            remaining -= comp
-            comps.append(frozenset(comp))
-        return tuple(sorted(comps, key=lambda c: sorted(c)))
-
-    def is_connected(self) -> bool:
-        return len(self.connected_components()) <= 1
 
     def to_hypergraph(self) -> Hypergraph:
         return Hypergraph(self.vertices, sorted(self.edges, key=_edge_key))
@@ -217,17 +206,6 @@ class BuildingSet:
         ]
         return tuple(sorted(maximal, key=lambda c: sorted(c)))
 
-    def induced(self, subset: Iterable[str]) -> "BuildingSet":
-        """The members inside the subset.  They form a building set by
-        construction, so the union axiom is not checked again."""
-        sub = frozenset(subset)
-        if not sub <= self.vertices:
-            raise ValueError("not a subset of the vertices")
-        induced = object.__new__(BuildingSet)
-        induced.vertices = sub
-        induced.sets = frozenset(s for s in self.sets if s <= sub)
-        return induced
-
     def to_hypergraph(self) -> Hypergraph:
         return Hypergraph(self.vertices, sorted(self.sets, key=_edge_key))
 
@@ -272,26 +250,6 @@ class RootedTree:
     @property
     def vertices(self) -> frozenset:
         return frozenset({self.root, *self.parent, *self.parent.values()})
-
-    def children(self, v: str) -> tuple:
-        return tuple(sorted(c for c, p in self.parent.items() if p == v))
-
-    def depth(self, v: str) -> int:
-        d = 0
-        while v != self.root:
-            v = self.parent[v]
-            d += 1
-        return d
-
-    def subtree(self, v: str) -> frozenset:
-        out = {v}
-        queue = deque([v])
-        while queue:
-            u = queue.popleft()
-            for c in self.children(u):
-                out.add(c)
-                queue.append(c)
-        return frozenset(out)
 
     def __eq__(self, other):
         if not isinstance(other, RootedTree):
@@ -357,81 +315,94 @@ class RootedForest:
         return "RootedForest[" + "; ".join(repr(t) for t in self.trees) + "]"
 
 
-def _partitioning_trees(x, memo=None) -> list:
-    """Rooted trees of a connected building set or simple graph: a root r
-    over one tree per connected component of x with r deleted.  For a
-    building set those components are the maximal sets avoiding r, for a
-    graph the components of the graph minus r."""
-    if memo is None:
-        memo = {}
-    trees = []
-    for r in sorted(x.vertices):
-        for combo in _tree_choices(x.induced(x.vertices - {r}), memo):
-            parent = {sub.root: r for sub in combo}
-            for sub in combo:
-                parent.update(sub.parent)
-            trees.append(RootedTree._assembled(r, parent))
-    return trees
+def _pieces(w: int, members) -> list:
+    """The connected pieces of the vertex mask w, lowest vertex first: the
+    unions that ``_components`` joins from the member masks inside w and
+    the single vertices of w.  Pieces are disjoint, so lowest vertex first
+    is the order of their sorted labels."""
+    singles = [1 << i for i in range(w.bit_length()) if w >> i & 1]
+    parts = _components([m for m in members if not m & ~w] + singles)
+    return sorted((union for union, _ in parts), key=lambda union: union & -union)
 
 
-def _tree_choices(x, memo=None) -> Iterator[tuple]:
-    """Every choice of one partitioning tree per connected component of x.
+def _forests(h: Hypergraph) -> Iterator[RootedForest]:
+    """The B-forests (Postnikov, arXiv:math/0507163) of the building set
+    of the vertex sets that the edges of h connect: one tree per piece of
+    the vertex set, a tree of a piece being a root r over one tree per
+    piece of the rest with r deleted.
 
-    memo maps a vertex set to its partitioning trees.  It is valid for
-    the induced pieces of one object and lives for one call."""
-    if memo is None:
-        memo = {}
-    per_component = []
-    for c in x.connected_components():
-        trees = memo.get(c)
-        if trees is None:
-            trees = memo[c] = _partitioning_trees(x.induced(c), memo)
-        per_component.append(trees)
-    return product(*per_component)
+    Roots go in label order and pieces lowest vertex first.  The trees of
+    each piece are memoised for this call.
+    """
+    labels, bit, members = _bit_edges(h)
+    memo: dict = {}
+
+    def trees(piece: int) -> list:
+        found = memo.get(piece)
+        if found is None:
+            found = []
+            for root in _mask_labels(piece, labels):
+                for combo in choices(piece ^ bit[root]):
+                    parent = {sub.root: root for sub in combo}
+                    for sub in combo:
+                        parent.update(sub.parent)
+                    found.append(RootedTree._assembled(root, parent))
+            memo[piece] = found
+        return found
+
+    def choices(w: int) -> Iterator[tuple]:
+        return product(*[trees(p) for p in _pieces(w, members)])
+
+    for combo in choices((1 << len(labels)) - 1):
+        yield RootedForest(combo)
 
 
 def skeletons(b: BuildingSet) -> Iterator[RootedForest]:
     """All skeleton forests: pick a root per component, recurse on the
     maximal connected sets avoiding it."""
-    for combo in _tree_choices(b):
-        yield RootedForest(combo)
+    return _forests(b.to_hypergraph())
 
 
 def skeleton_orientation(b: BuildingSet, forest: RootedForest) -> tuple:
     """The acyclic orientation matching a skeleton.
 
-    Each connected set is sent to its shallowest vertex in the forest;
-    for a genuine skeleton that vertex's subtree contains the whole set.
-    Heads are aligned with the edge order of ``b.to_hypergraph()``.
+    The forest must be a B-forest of b: the subtrees of the roots are the
+    maximal sets, and below each vertex v the subtrees of the children
+    are the maximal sets inside subtree(v) - v.  Each set is then sent to
+    its one vertex whose subtree holds the whole set.  Heads are aligned
+    with the edge order of ``b.to_hypergraph()``.
     """
     if forest.vertices != b.vertices:
         raise ValueError("forest does not cover the building set")
-    tree_of = {}
-    for t in forest.trees:
-        for v in t.vertices:
-            tree_of[v] = t
-    heads = []
-    for e in b.to_hypergraph().edges:
-        trees = {id(tree_of[v]) for v in e}
-        if len(trees) != 1:
-            raise ValueError(f"set {sorted(e)} straddles several trees")
-        tree = tree_of[next(iter(e))]
-        head = min(e, key=lambda v: (tree.depth(v), v))
-        if not e <= tree.subtree(head):
-            raise ValueError(f"forest is not a skeleton: set {sorted(e)} escapes "
-                             f"the subtree of {head!r}")
-        heads.append(head)
-    return tuple(heads)
+    labels, bit, sets = _bit_edges(b.to_hypergraph())
+    parent = {c: p for p, c in forest.parent_edges()}
+    below = dict(bit)  # vertex -> mask of its subtree
+    for v in labels:
+        u = v
+        while u in parent:
+            u = parent[u]
+            below[u] |= bit[v]
+    kids: dict = {}  # vertex, or None above the roots -> subtrees of its children
+    for v in labels:
+        kids.setdefault(parent.get(v), set()).add(below[v])
+    for subtrees in kids.values():
+        # disjoint subtrees, so their sum is the mask they cover
+        if subtrees != set(_pieces(sum(subtrees), sets)):
+            raise ValueError("forest is not a skeleton: some subtrees are not "
+                             "the maximal sets they cover")
+    return tuple(
+        next(v for v in _mask_labels(e, labels) if not e & ~below[v]) for e in sets
+    )
 
 
 def tubes(w: SimpleGraph) -> BuildingSet:
     """All vertex subsets inducing a connected subgraph."""
-    labels = sorted(w.vertices)
-    sets = []
-    for mask in range(1, 1 << len(labels)):
-        subset = frozenset(labels[i] for i in range(len(labels)) if mask >> i & 1)
-        if w.induced(subset).is_connected():
-            sets.append(subset)
+    labels, _, edges = _bit_edges(w.to_hypergraph())
+    sets = [
+        _mask_labels(mask, labels)
+        for mask in range(1, 1 << len(labels))
+        if len(_pieces(mask, edges)) == 1
+    ]
     return BuildingSet(w.vertices, sets)
 
 
@@ -445,38 +416,26 @@ def rip_sew_coproduct(w: SimpleGraph, left: Iterable[str], right=None):
     """(induced subgraph on the block, graph sewn through it).
 
     The sewn graph joins u and v of the complement whenever some u-v
-    path runs entirely through the block in between.
+    path runs entirely through the block in between: they are adjacent,
+    or both have a neighbour in one piece of the block.
     """
-    left = frozenset(left)
-    if not left <= w.vertices:
-        raise ValueError("block is not a subset of the vertices")
-    rest = w.vertices - left
-    if right is not None and frozenset(right) != rest:
-        raise ValueError("blocks do not partition the vertex set")
-    sewn = []
-    for u in sorted(rest):
-        reach = set()
-        queue = deque(v for v in w.neighbors(u) if v in left)
-        reach |= set(queue)
-        while queue:
-            x = queue.popleft()
-            for y in w.neighbors(x):
-                if y in left and y not in reach:
-                    reach.add(y)
-                    queue.append(y)
-        for v in sorted(rest):
-            if v <= u:
-                continue
-            if v in w.neighbors(u) or reach & w.neighbors(v):
-                sewn.append((u, v))
+    left, rest = _block_and_rest(w.vertices, left, right)
+    labels, bit, edges = _bit_edges(w.to_hypergraph())
+    block = sum(bit[v] for v in left)
+    sewn = [e for e in w.edges if not e & left]
+    for piece in _pieces(block, edges):
+        touching = 0  # the neighbours of the piece outside the block
+        for e in edges:
+            if e & piece:
+                touching |= e & ~block
+        sewn += combinations(_mask_labels(touching, labels), 2)
     return w.induced(left), SimpleGraph(rest, sewn)
 
 
 def partitioning_forests(w: SimpleGraph) -> Iterator[RootedForest]:
     """Delete a vertex per component, recurse on the pieces; the resulting
     forests coincide with the skeletons of the graphical building set."""
-    for combo in _tree_choices(w):
-        yield RootedForest(combo)
+    return _forests(w.to_hypergraph())
 
 
 class SetPartition:
@@ -525,10 +484,7 @@ class SetPartition:
 
 
 def partition_coproduct(pi: SetPartition, left: Iterable[str], right=None):
-    left = frozenset(left)
-    rest = pi.vertices - left
-    if right is not None and frozenset(right) != rest:
-        raise ValueError("blocks do not partition the vertex set")
+    left, rest = _block_and_rest(pi.vertices, left, right)
     return pi.restrict(left), pi.restrict(rest)
 
 
@@ -628,12 +584,7 @@ class PathFamily:
 
 
 def path_coproduct(alpha: PathFamily, left: Iterable[str], right=None):
-    left = frozenset(left)
-    if not left <= alpha.vertices:
-        raise ValueError("block is not a subset of the vertices")
-    rest = alpha.vertices - left
-    if right is not None and frozenset(right) != rest:
-        raise ValueError("blocks do not partition the vertex set")
+    left, _ = _block_and_rest(alpha.vertices, left, right)
     return alpha.restrict(left), alpha.contract(left)
 
 

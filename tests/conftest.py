@@ -77,6 +77,27 @@ def small_hypergraphs(draw, max_vertices=5, max_edges=4):
     return Hypergraph(vertices, draw(st.lists(edge, max_size=max_edges)))
 
 
+@st.composite
+def building_sets(draw, labels=None, max_vertices=4, max_sets=4):
+    """Building sets on the given labels, or on up to max_vertices drawn
+    ones: every singleton and some drawn sets, closed under the union of
+    two that intersect."""
+    if labels is None:
+        labels = draw(st.lists(st.sampled_from(LABELS), unique=True, min_size=1,
+                               max_size=max_vertices))
+    drawn = st.frozensets(st.sampled_from(labels), min_size=1)
+    family = {frozenset([v]) for v in labels}
+    family.update(draw(st.lists(drawn, max_size=max_sets)))
+    grown = True
+    while grown:
+        grown = False
+        for a, b in combinations(list(family), 2):
+            if a & b and a | b not in family:
+                family.add(a | b)
+                grown = True
+    return BuildingSet(labels, family)
+
+
 def count_surjections_direct(n: int, m: int) -> int:
     """Enumerate all maps [m] -> [n] and keep the surjective ones."""
     total = 0
@@ -204,6 +225,30 @@ def component_count(h: Hypergraph) -> int:
                         seen.add(w)
                         stack.append(w)
     return count
+
+
+def chromatic_by_deletion_contraction(vertices, edges) -> Polynomial:
+    """P(G) = P(G - e) - P(G / e) down to n^k on k vertices without edges.
+
+    Contracting e = {u, v} renames v to u in the other edges; the edge set
+    is a set, so parallel edges merge, and no loop arises since e is
+    gone.  Memoised on (vertex count, edges) for this call.
+    """
+    memo: dict = {}
+
+    def rec(k: int, edges: frozenset) -> Polynomial:
+        if not edges:
+            return Polynomial.monomial(k)
+        key = (k, edges)
+        if key not in memo:
+            e = min(edges, key=sorted)
+            u, v = sorted(e)
+            rest = edges - {e}
+            merged = frozenset(frozenset(u if x == v else x for x in f) for f in rest)
+            memo[key] = rec(k, rest) - rec(k - 1, merged)
+        return memo[key]
+
+    return rec(len(frozenset(vertices)), frozenset(frozenset(e) for e in edges))
 
 
 def skeletons_by_recursion(b: BuildingSet) -> list:

@@ -1,14 +1,17 @@
 import io
 import json
 import tracemalloc
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 import pytest
-from conftest import small_hypergraphs
+from conftest import building_sets, small_hypergraphs
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hyperchi import Hypergraph, Polynomial
+from hyperchi import BuildingSet, Hypergraph, Polynomial, SimpleGraph, tubes
 from hyperchi.cli import main
 from hyperchi.jsonio import SchemaError, dumps_canonical, parse_object, serialize
 
@@ -90,6 +93,19 @@ def test_orientations_count_matches_listing(h):
     assert payload()["acyclic"] == listed["acyclic"] == len(listed["orientations"]), h
 
 
+@pytest.mark.parametrize("listed", [(), ("--list",)], ids=["count", "list"])
+def test_orientations_pair_counts_at_a_billion_colours(capsys, listed):
+    # K_3: n(n-1)(n-2) strictly compatible pairs, n(n+1)(n+2) compatible
+    n = 10**9
+    k3 = '{"vertices":["a","b","c"],"edges":[["a","b"],["b","c"],["a","c"]]}'
+    for strict, expected in [((), 6 * comb(n + 2, 3)), (("--strict",), 6 * comb(n, 3))]:
+        code, out, _ = run(capsys, "orientations", k3, "--pairs", str(n), *strict, *listed)
+        payload = json.loads(out)
+        assert code == 0 and payload["acyclic"] == 6 and payload["total"] == 8
+        assert payload["compatible_pairs"] == {"colors": n, "strict": bool(strict),
+                                               "count": expected}
+
+
 def test_orientations_pair_counts(capsys):
     edge = '{"vertices":["a","b"],"edges":[["a","b"]]}'
     code, out, _ = run(capsys, "orientations", edge, "--pairs", "2")
@@ -137,6 +153,37 @@ def test_skeletons_verb(capsys):
     code, out, _ = run(capsys, "skeletons", bs)
     assert code == 0
     assert json.loads(out)["count"] == 2
+
+
+def test_skeletons_count_streams(capsys):
+    # without --list the 40,320 skeletons of tubes(K_8) are counted as
+    # acyclic orientations, not built
+    labels = [f"v{i}" for i in range(8)]
+    b = tubes(SimpleGraph(labels, combinations(labels, 2)))
+    doc = json.dumps({"vertices": labels, "sets": [sorted(s) for s in b.sets]})
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "skeletons", doc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert out == '{"count": 40320}\n'
+    assert peak < 2_000_000
+
+
+@settings(max_examples=100, deadline=None)
+@given(building_sets())
+@example(BuildingSet("a", [("a",)]))
+def test_skeletons_count_matches_listing(b):
+    def payload(*options):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["skeletons", json.dumps(serialize(b)), *options]) == 0
+        return json.loads(out.getvalue())
+
+    listed = payload("--list")
+    assert payload()["count"] == listed["count"] == len(listed["skeletons"]), b
 
 
 def test_partition_verb(capsys):
@@ -405,3 +452,85 @@ def test_fractional_count_exits_2(capsys, monkeypatch):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "1/2" in err
+
+
+_FUZZ_OPTIONS = {
+    "chi": [("--at", "-1"), ("--at", "2"), ("--at", "x")],
+    "eval": [("--at", "-2")],
+    "orientations": [("--list",), ("--pairs", "2"), ("--pairs", "-1"), ("--strict",),
+                     ("--pairs", "1000000000")],
+    "antipode": [],
+    "chromatic": [("--at", "3")],
+    "skeletons": [("--list",)],
+    "partition": [("--at", "-1")],
+    "path": [("--at", "1"), ("--coproduct", '["a"]'), ("--coproduct", '["z"]'),
+             ("--coproduct", "[1]"), ("--coproduct", "{")],
+    "verify": [("--max-n", "1"), ("--max-n", "-1"), ("--random", "1"), ("--seed", "3")],
+}
+_FUZZ_KINDS = {"chi": "edges", "eval": "edges", "orientations": "edges",
+               "antipode": "edges", "chromatic": "edges", "skeletons": "sets",
+               "partition": "parts", "path": "paths"}
+_FUZZ_KEYS = ("vertices", "edges", "faces", "sets", "parts", "paths", "colour")
+_FUZZ_LABELS = ("a", "b", "c", "é", "字", "", "\ud800")
+_fuzz_leaves = st.sampled_from([*_FUZZ_LABELS, 1, 2.5, None, True])
+_fuzz_values = st.recursive(_fuzz_leaves, lambda inner: st.lists(inner, max_size=3),
+                            max_leaves=8)
+
+
+@st.composite
+def _fuzz_requests(draw):
+    """A verb, a small payload and options.  One draw in four takes a
+    fault: labels "" or a lone surrogate, repeated labels, junk for a
+    key, a stray or second key, no vertex list, or a bare value.  The
+    rest build the verb's key to pass the checks."""
+    def fault():
+        return draw(st.sampled_from((False, False, False, True)))
+
+    verb = draw(st.sampled_from(sorted(_FUZZ_OPTIONS)))
+    pool = _FUZZ_LABELS if fault() else _FUZZ_LABELS[:5]
+    vertices = draw(st.lists(st.sampled_from(pool), max_size=4, unique=not fault()))
+    cuts = draw(st.lists(st.booleans(), min_size=len(vertices), max_size=len(vertices)))
+    blocks = []
+    for v, cut in zip(vertices, cuts):
+        if cut or not blocks:
+            blocks.append([])
+        blocks[-1].append(v)
+    pick = st.sampled_from(vertices or ["a"])
+    built = {
+        "edges": st.lists(st.lists(pick, min_size=1, max_size=3, unique=True), max_size=3)
+        | st.lists(st.lists(pick, min_size=2, max_size=2), max_size=3),
+        "faces": st.just([[v] for v in vertices]),
+        "sets": st.just([[v] for v in vertices] + [vertices] * (len(vertices) > 1)),
+        "parts": st.just(blocks),
+        "paths": st.just(blocks),
+    }
+    if fault() and fault():
+        payload = draw(_fuzz_values)
+    else:
+        payload = {} if fault() else {"vertices": vertices}
+        keys = [_FUZZ_KINDS.get(verb) or draw(st.sampled_from(sorted(built)))]
+        if fault():
+            keys.append(draw(st.sampled_from(_FUZZ_KEYS)))
+        for key in keys:
+            payload[key] = draw(_fuzz_values if fault() or key not in built else built[key])
+    text = json.dumps(payload, ensure_ascii=draw(st.booleans()))
+    choices = _FUZZ_OPTIONS[verb]
+    options = draw(st.lists(st.sampled_from(choices), max_size=2)) if choices else []
+    if verb == "eval" and not fault():
+        options.append(("--at", "0"))
+    if fault():
+        options.append(("--bogus",))
+    head = draw(st.sampled_from([[], ["--format", "text"]]))
+    return [*head, verb, text, *(a for option in options for a in option)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_fuzz_requests())
+def test_cli_fuzz_exits_0_or_1_with_one_error_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1), argv
+    if code == 1 and not err.getvalue().startswith("usage: hyperchi"):
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hyperchi import (
     FormalSum,
     Hypergraph,
+    acyclic_orientations,
     antipode,
     disjoint_union,
     enumerate_set_compositions,
@@ -220,6 +221,20 @@ def test_antipode_matches_alternating_sum(h):
     assert list(faces) == list(expected)
     for coefficient, term in faces:
         assert coefficient == (-1) ** component_count(term), term
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_hypergraphs(max_vertices=6, max_edges=5))
+@example(Hypergraph("ab", [{"a", "b"}, {"a", "b"}, {"a"}]))
+@example(Hypergraph("abc", [{"a", "b"}]))
+def test_antipode_vertex_terms_are_acyclic_orientations(h):
+    # the vertices of the hypergraphic polytope, the terms whose edges are
+    # all single vertices, correspond to the acyclic orientations
+    # (Benedetti-Bergeron-Machacek, arXiv:1712.08848): the face recursion
+    # against the orientation walk, which share no code
+    vertices = [c for c, term in antipode(h) if term.is_discrete()]
+    assert len(vertices) == sum(1 for _ in acyclic_orientations(h)), h
+    assert all(c == (-1) ** len(h.vertices) for c in vertices), h
 
 
 def test_hopf_antipode_identity():

@@ -1,14 +1,25 @@
-from itertools import product
+import random
+from itertools import combinations, product
 from math import comb
 
 import pytest
-from conftest import nonempty_subsets, random_hypergraphs, skeletons_by_recursion
+from conftest import (
+    LABELS,
+    building_sets,
+    chromatic_by_deletion_contraction,
+    nonempty_subsets,
+    random_hypergraphs,
+    skeletons_by_recursion,
+)
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hyperchi import (
     BuildingSet,
     Hypergraph,
     PathFamily,
     Polynomial,
+    RootedForest,
     RootedTree,
     SetPartition,
     SimpleGraph,
@@ -37,7 +48,6 @@ from hyperchi import (
     tubes,
     tubes_polynomial,
 )
-from hyperchi.submonoids import _partitioning_trees
 
 TRIANGLE = SimpleGraph("abc", [("a", "b"), ("b", "c"), ("a", "c")])
 PATH3 = SimpleGraph("abc", [("a", "b"), ("b", "c")])
@@ -109,6 +119,35 @@ def test_chromatic_counts_proper_colorings():
                 if all(coloring[u] != coloring[v] for u, v in map(sorted, g.edges)):
                     proper += 1
             assert poly(n) == proper
+
+
+def _random_graphs(count, max_vertices, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        labels = sorted(rng.sample(LABELS, rng.randint(0, max_vertices)))
+        p = rng.random()
+        yield SimpleGraph(labels, [e for e in combinations(labels, 2) if rng.random() < p])
+
+
+def test_specializations_match_deletion_contraction():
+    # the oracle uses no allowed blocks, orientations or compositions
+    rng = random.Random(5)
+    for g in _random_graphs(150, 6, seed=3):
+        expected = chromatic_by_deletion_contraction(g.vertices, g.edges)
+        assert chromatic_polynomial(g) == expected, g
+        # a complex on g's edges, its vertices and some of its triangles
+        labels = sorted(g.vertices)
+        triangles = [t for t in combinations(labels, 3) if rng.random() < 0.5
+                     and all(frozenset(p) in g.edges for p in combinations(t, 2))]
+        cx = SimplicialComplex.closure(labels, [*g.edges, *triangles, *([v] for v in labels)])
+        assert cx.skeleton_1() == g
+        assert chi_polynomial(cx.to_hypergraph()) == expected, cx
+        # a partition of the labels into the runs between random cuts
+        cuts = [0, *sorted(rng.sample(range(1, len(labels)), len(labels) // 2)), len(labels)]
+        pi = SetPartition(labels, [labels[i:j] for i, j in zip(cuts, cuts[1:]) if i < j])
+        cliquey = pi.cliquey_graph()
+        assert partition_polynomial(pi) == chromatic_by_deletion_contraction(
+            cliquey.vertices, cliquey.edges), pi
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +257,39 @@ def test_skeleton_bijection_and_compatibility():
                     )
 
 
+def test_skeleton_orientation_refuses_forests_that_are_not_skeletons():
+    # the pieces of b are {a, b} and {c}, but the forest is one tree
+    b = tubes(SimpleGraph("abc", [("a", "b")]))
+    spike = BuildingSet("abc", [("a",), ("b",), ("c",), ("a", "b"), ("a", "b", "c")])
+    for forest in skeletons(spike):
+        with pytest.raises(ValueError, match="not a skeleton"):
+            skeleton_orientation(b, forest)
+    with pytest.raises(ValueError, match="does not cover"):
+        skeleton_orientation(b, RootedForest([RootedTree("a", {"b": "a"})]))
+
+
+@st.composite
+def building_set_pairs(draw):
+    labels = draw(st.lists(st.sampled_from(LABELS), unique=True, min_size=1, max_size=4))
+    return draw(building_sets(labels)), draw(building_sets(labels))
+
+
+@settings(max_examples=150, deadline=None)
+@given(building_set_pairs())
+@example((BuildingSet("abc", [("a",), ("b",), ("c",), ("a", "b"), ("a", "b", "c")]),
+          tubes(SimpleGraph("abc", [("a", "b")]))))
+def test_skeleton_orientation_accepts_exactly_the_skeletons(pair):
+    b, other = pair
+    theirs = set(skeletons(other))
+    for forest in skeletons(b):
+        try:
+            skeleton_orientation(other, forest)
+        except ValueError:
+            assert forest not in theirs
+        else:
+            assert forest in theirs
+
+
 SKELETON_GRAPHS = [
     SimpleGraph("abcd", [("a", "b"), ("b", "c"), ("c", "d")]),
     SimpleGraph("abcd", [("a", "b"), ("a", "c"), ("a", "d")]),
@@ -226,18 +298,6 @@ SKELETON_GRAPHS = [
                           ("b", "e")]),
     SimpleGraph("abcde", [("a", "b"), ("b", "c"), ("d", "e")]),
 ]
-
-
-@pytest.mark.parametrize("g", SKELETON_GRAPHS, ids=repr)
-def test_induced_building_set_matches_validating_constructor(g):
-    b = tubes(g)
-    labels = sorted(g.vertices)
-    for mask in range(1 << len(labels)):
-        sub = frozenset(labels[i] for i in range(len(labels)) if mask >> i & 1)
-        induced = b.induced(sub)
-        expected = BuildingSet(sub, [s for s in b.sets if s <= sub])
-        assert induced == expected and hash(induced) == hash(expected)
-        assert induced.connected_components() == expected.connected_components()
 
 
 @pytest.mark.parametrize("g", SKELETON_GRAPHS, ids=repr)
@@ -252,17 +312,13 @@ def test_skeletons_keep_order_and_biject(g):
 
 @pytest.mark.parametrize("g", SKELETON_GRAPHS, ids=repr)
 def test_assembled_trees_match_validating_constructor(g):
-    b = tubes(g)
-    labels = sorted(g.vertices)
-    for mask in range(1, 1 << len(labels)):
-        piece = b.induced(labels[i] for i in range(len(labels)) if mask >> i & 1)
-        if len(piece.connected_components()) != 1:
-            continue
-        for tree in _partitioning_trees(piece):
-            checked = RootedTree(tree.root, tree.parent)
-            assert tree == checked and hash(tree) == hash(checked)
-            assert tree.parent == checked.parent and repr(tree) == repr(checked)
-            assert tree.vertices == piece.vertices
+    for sub in nonempty_subsets(g.vertices):
+        for forest in skeletons(tubes(g.induced(sub))):
+            for tree in forest.trees:
+                checked = RootedTree(tree.root, tree.parent)
+                assert tree == checked and hash(tree) == hash(checked)
+                assert tree.parent == checked.parent and repr(tree) == repr(checked)
+            assert forest.vertices == sub
     with pytest.raises(ValueError, match="does not reach the root"):
         RootedTree("a", {"b": "c", "c": "b"})
 
@@ -341,7 +397,7 @@ def _all_simple_paths(g, u, v):
         if last == v and len(path) > 1:
             out.append(tuple(path))
             return
-        for w in sorted(g.neighbors(last)):
+        for w in sorted(x for e in g.edges if last in e for x in e - {last}):
             if w not in path:
                 path.append(w)
                 dfs(path)
@@ -423,6 +479,22 @@ def test_partition_closed_form_matches_generic_invariant():
         )
 
 
+@pytest.mark.parametrize(
+    "coproduct, obj",
+    [
+        (partition_coproduct, SetPartition("ab", [("a",), ("b",)])),
+        (rip_sew_coproduct, SimpleGraph("ab", [("a", "b")])),
+        (path_coproduct, PathFamily("ab", [("a", "b")])),
+    ],
+    ids=["partition", "rip-sew", "path"],
+)
+def test_coproducts_refuse_a_block_outside_the_vertices(coproduct, obj):
+    with pytest.raises(ValueError, match="block is not a subset of the vertices"):
+        coproduct(obj, {"a", "z"})
+    with pytest.raises(ValueError, match="blocks do not partition"):
+        coproduct(obj, {"a"}, {"a", "b"})
+
+
 def test_partition_coproduct_is_a_morphism_into_ripsew():
     pi = SetPartition("abcd", [("a", "b", "c"), ("d",)])
     for s in nonempty_subsets(pi.vertices):
@@ -500,8 +572,9 @@ def test_single_path_partitioning_trees_hit_catalan():
     for k in range(1, 9):
         labels = [f"p{i}" for i in range(k)]
         edges = list(zip(labels, labels[1:]))
-        trees = _partitioning_trees(SimpleGraph(labels, edges))
-        assert len(trees) == comb(2 * k, k) // (k + 1)
+        forests = list(partitioning_forests(SimpleGraph(labels, edges)))
+        assert all(len(f.trees) == 1 for f in forests)
+        assert len(forests) == comb(2 * k, k) // (k + 1)
 
 
 def test_path_polynomial_catalan_values():
