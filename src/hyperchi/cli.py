@@ -258,7 +258,7 @@ def _check_hypergraph(h: Hypergraph, max_n: int, record) -> None:
         record(f"definition = colorings = polynomial at n={n}", d == c == p)
         record(
             f"strict pairs = polynomial at n={n}",
-            count_compatible_pairs(h, n, strict=True) == p,
+            count_compatible_pairs(h, n, strict=True) == d,
         )
         record(
             f"compatible pairs = reciprocal value at n={n}",

@@ -187,6 +187,15 @@ class BuildingSet:
                 )
         self.sets = frozenset(family)
 
+    @classmethod
+    def _assembled(cls, vertices: frozenset, sets: frozenset) -> "BuildingSet":
+        """The building set of a family that is one by construction, such
+        as the tubes of a graph; the axioms are not checked again."""
+        b = object.__new__(cls)
+        b.vertices = vertices
+        b.sets = sets
+        return b
+
     def __eq__(self, other):
         if not isinstance(other, BuildingSet):
             return NotImplemented
@@ -398,12 +407,12 @@ def skeleton_orientation(b: BuildingSet, forest: RootedForest) -> tuple:
 def tubes(w: SimpleGraph) -> BuildingSet:
     """All vertex subsets inducing a connected subgraph."""
     labels, _, edges = _bit_edges(w.to_hypergraph())
-    sets = [
-        _mask_labels(mask, labels)
+    sets = frozenset(
+        frozenset(_mask_labels(mask, labels))
         for mask in range(1, 1 << len(labels))
         if len(_pieces(mask, edges)) == 1
-    ]
-    return BuildingSet(w.vertices, sets)
+    )
+    return BuildingSet._assembled(w.vertices, sets)
 
 
 def tubes_polynomial(w: SimpleGraph) -> Polynomial:

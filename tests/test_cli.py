@@ -265,6 +265,35 @@ def test_verify_path_line_fails_when_the_path_invariant_is_wrong(capsys, monkeyp
     assert len(line) == 1 and not line[0]["passed"]
 
 
+def test_verify_strict_line_fails_when_the_strict_level_counts_are_wrong(capsys, monkeypatch):
+    # the strict branch of _level_counts serves both the strict pair count and
+    # chi_polynomial; broken for both, they agree with each other at every n
+    # and only the defining sum can tell
+    import hyperchi.invariant as invariant
+    import hyperchi.orientations as orientations
+
+    right = orientations._level_counts
+
+    def wrong(edges, width, n, strict):
+        levels = right(edges, width, n, strict)
+        if strict and len(levels) > 1:
+            levels[1] += 1  # n more at every n
+        return levels
+
+    for module in (orientations, invariant):
+        monkeypatch.setattr(module, "_level_counts", wrong)
+    invariant.chi_polynomial.cache_clear()
+    try:
+        code, out, _ = run(capsys, "--format", "text", "verify", "--max-n", "2")
+    finally:
+        invariant.chi_polynomial.cache_clear()
+    assert code == 2
+    lines = out.splitlines()
+    assert "PASS corpus[0]: strict pairs = polynomial at n=0" in lines
+    for n in (1, 2):
+        assert f"FAIL corpus[0]: strict pairs = polynomial at n={n}" in lines
+
+
 def test_invalid_input_exit_code(capsys):
     code, _, err = run(capsys, "chi", '{"vertices":["a"],"edges":[[]]}')
     assert code == 1 and "empty" in err

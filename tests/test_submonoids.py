@@ -351,6 +351,23 @@ def test_tubes_examples():
     }
 
 
+@st.composite
+def simple_graphs(draw):
+    labels = sorted(draw(st.lists(st.sampled_from(LABELS), unique=True)))
+    pairs = list(combinations(labels, 2))
+    kept = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return SimpleGraph(labels, [p for p, keep in zip(pairs, kept) if keep])
+
+
+@settings(max_examples=150, deadline=None)
+@given(simple_graphs())
+@example(SimpleGraph(()))
+@example(SimpleGraph(LABELS, combinations(LABELS, 2)))
+def test_tubes_pass_the_validating_constructor(g):
+    t = tubes(g)
+    assert t == BuildingSet(g.vertices, t.sets)
+
+
 def test_rip_sew_examples():
     ripped, sewn = rip_sew_coproduct(PATH3, PATH3.vertices)
     assert ripped == PATH3 and sewn == SimpleGraph([])
@@ -578,7 +595,7 @@ def test_single_path_partitioning_trees_hit_catalan():
 
 
 def test_path_polynomial_catalan_values():
-    for k in range(1, 6):
+    for k in range(1, 10):
         labels = [chr(ord("a") + i) for i in range(k)]
         alpha = PathFamily(labels, [tuple(labels)])
         assert (-1) ** k * path_polynomial(alpha)(-1) == comb(2 * k, k) // (k + 1)
