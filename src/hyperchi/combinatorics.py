@@ -6,12 +6,11 @@ The strict-chain power sum attached to a sequence of exponents
     n  ->  sum over 0 <= k_1 < ... < k_t <= n-1 of k_1**p_1 * ... * k_t**p_t,
 
 which is a polynomial in n of degree ``sum(p) + t`` with zero constant
-coefficient.  These polynomials are the building blocks of the paper's
-closed form of the hypergraph invariant; exponents may be zero here even
-though most classical uses assume them positive.  ``f_polynomial`` gives
-them in Bernoulli (Faulhaber) form.  ``chi_polynomial`` does not use
-them: the closed form is a test oracle (``chi_polynomial_filtered`` in
-the test suite).
+coefficient.  These polynomials are the building blocks of the hypergraph
+invariant; exponents may be zero here even though most classical uses
+assume them positive.  ``f_polynomial`` gives them in Bernoulli
+(Faulhaber) form; ``chi_polynomial`` adds the same sums as integer
+values and interpolates once.
 """
 
 from __future__ import annotations

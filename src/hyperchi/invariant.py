@@ -5,14 +5,19 @@ For a nonnegative number of colors n the invariant counts, equivalently:
   * length-n ordered splits of the vertex set whose pieces are all
     discrete (the defining sum, ``chi_eval_definition``);
   * colorings with {1..n} in which every edge has a unique vertex of
-    maximal color (``chi_eval_colorings``);
-  * pairs of an acyclic orientation and a strictly compatible coloring
-    with {1..n}, which ``chi_polynomial`` counts by colour level and
-    interpolates.
+    maximal color (``chi_eval_colorings``).
 
-Evaluating the polynomial at -n and multiplying by (-1)^|vertices| counts
-compatible pairs of acyclic orientations and colorings, which is the
-reciprocity law the test suite pins down.
+``chi_polynomial`` produces the exact polynomial through the acyclic
+orientation expansion: every acyclic orientation contributes, for every
+composition of its head set respecting the head-dominance constraints, a
+strict-chain power sum whose exponents are the sizes of the layers of
+non-head vertices swept up block by block.  The invariant is
+integer-valued, so those power sums are added as integer values at
+n = 0..d, d the number of vertices in edges, and the polynomial is
+interpolated from them once.  Evaluating the polynomial at -n and
+multiplying by (-1)^|vertices| counts compatible pairs of acyclic
+orientations and colorings, which is the reciprocity law the test suite
+pins down.
 """
 
 from __future__ import annotations
@@ -29,11 +34,7 @@ from .compositions import (
     is_acyclic_arcs,
 )
 from .hypergraph import FormalSum, Hypergraph, _bit_edges
-from .orientations import _level_counts
-
-# nothing here calls acyclic_orientations; bench/test_bench.py checks that
-# the tracer wraps it under invariant too, so the name stays
-from .orientations import acyclic_orientations  # noqa: F401
+from .orientations import acyclic_orientations
 from .polynomial import Polynomial, linear_combination
 
 # Entries kept by each cache keyed on a whole hypergraph.
@@ -159,20 +160,88 @@ def chi_eval_colorings(h: Hypergraph, n: int) -> int:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def chi_polynomial(h: Hypergraph) -> Polynomial:
-    """Exact invariant polynomial from the strict level counts.
+    """Exact invariant polynomial via the acyclic-orientation expansion.
 
-    A coloring counted by the invariant has one strictly compatible
-    acyclic orientation, its edges headed at their unique tops, so
-    chi(n) = sum_k c_k C(n, k) with the strict c_k of
-    ``count_compatible_pairs``.  That is a polynomial of degree |vertices|,
-    interpolated from its integer values at n = 0..|vertices|.
+    Isolated vertices contribute a factor n each.  For each acyclic
+    orientation and each strictly constrained composition (P_1,...,P_l)
+    of its heads, layer i collects the vertices of edges headed inside
+    P_i that are neither heads nor already collected; the term is the
+    strict-chain power sum with the layer sizes as exponents (zero sizes
+    are kept: they still occupy a strictly increasing slot).
+
+    The compositions are generated, not filtered: with vertices as bits,
+    the next block is any nonempty subset of the unplaced heads whose
+    constraint predecessors (the other heads in the edges they head) are
+    all placed, which is the strict order of ``constrained_compositions``.
+    Each layer's size comes from masks as its block is chosen.  The
+    exponent tuples are tallied over all orientations.  Each distinct
+    tuple's power sum is evaluated in integers at n = 0..d, d the number
+    of vertices in edges, by its defining recursion from its prefix's
+    values; the counted values are added into one integer list, and one
+    interpolation turns that list into the polynomial.  ``f_polynomial``
+    gives the same power sums in Bernoulli form.
     """
-    labels, _, edges = _bit_edges(h)
-    width = len(labels)
-    levels = _level_counts(edges, width, width, True)
-    return Polynomial.from_values(
-        [sum(comb(n, k) * c for k, c in enumerate(levels)) for n in range(width + 1)]
-    )
+    _, bit, edges = _bit_edges(h)
+    tally: dict = {}
+    for orientation in acyclic_orientations(h):
+        heads = [bit[v] for v in orientation]
+        head_set = 0
+        for head in heads:
+            head_set |= head
+        before: dict = {}  # head -> heads that must sit in earlier blocks
+        reach: dict = {}  # head -> vertices of the edges it heads
+        for head, edge in zip(heads, edges):
+            before[head] = before.get(head, 0) | edge & head_set & ~head
+            reach[head] = reach.get(head, 0) | edge
+        _tally_layers(before, reach, head_set, 0, head_set, (), tally)
+    # Heads and layers are disjoint and every block holds a head, so each
+    # tallied power sum has degree at most the number of covered vertices
+    # and the sum is fixed by its integer values at n = 0..covered.
+    isolated = len(h.isolated_vertices())
+    points = len(h.vertices) - isolated + 1
+    chains = {(): [1] * points}  # exponent tuple -> its power sum at 0..points-1
+
+    def chain(parts: tuple) -> list:
+        values = chains.get(parts)
+        if values is None:
+            # F_{t,p}(n) = sum_{k<n} k^p F_t(k)
+            p = parts[-1]
+            values, acc = [], 0
+            for k, prefix in enumerate(chain(parts[:-1])):
+                values.append(acc)
+                acc += k**p * prefix
+            chains[parts] = values
+        return values
+
+    totals = [0] * points
+    for exponents, count in tally.items():
+        for k, value in enumerate(chain(exponents)):
+            totals[k] += count * value
+    return Polynomial.from_values(totals).shift(isolated)
+
+
+def _tally_layers(before, reach, head_set, placed, used, exponents, tally) -> None:
+    """Count, into tally, the exponent tuples of every strict composition of
+    the heads not yet placed, after the blocks that placed ``placed``
+    and collected ``used``."""
+    if placed == head_set:
+        tally[exponents] = tally.get(exponents, 0) + 1
+        return
+    ready = 0
+    for head, need in before.items():
+        if not head & placed and not need & ~placed:
+            ready |= head
+    block = ready
+    while block:
+        swept = 0
+        rest = block
+        while rest:
+            head = rest & -rest
+            swept |= reach[head]
+            rest ^= head
+        _tally_layers(before, reach, head_set, placed | block, used | swept,
+                      exponents + ((swept & ~used).bit_count(),), tally)
+        block = (block - 1) & ready
 
 
 def chi_eval_negative(h: Hypergraph, n: int) -> int:

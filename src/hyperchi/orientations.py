@@ -108,8 +108,6 @@ def count_compatible_pairs(h: Hypergraph, n: int, strict: bool = False) -> int:
     chains of length k ending at W the product of A(D_{i-1}, D_i), and
     A(lo, hi) counts the acyclic head choices, outside lo, of the edges
     inside hi but not inside lo.  ``_level_counts`` finds the c_k(V).
-    The strict count at n is the invariant at n: ``chi_polynomial``
-    interpolates it from the same strict c_k(V).
     """
     if n < 0:
         raise ValueError("number of colors must be >= 0")

@@ -266,10 +266,8 @@ def test_verify_path_line_fails_when_the_path_invariant_is_wrong(capsys, monkeyp
 
 
 def test_verify_strict_line_fails_when_the_strict_level_counts_are_wrong(capsys, monkeypatch):
-    # the strict branch of _level_counts serves both the strict pair count and
-    # chi_polynomial; broken for both, they agree with each other at every n
-    # and only the defining sum can tell
-    import hyperchi.invariant as invariant
+    # the strict pair count is checked against the defining sum, so a fault
+    # in the strict branch of _level_counts shows at every n that reaches it
     import hyperchi.orientations as orientations
 
     right = orientations._level_counts
@@ -280,13 +278,8 @@ def test_verify_strict_line_fails_when_the_strict_level_counts_are_wrong(capsys,
             levels[1] += 1  # n more at every n
         return levels
 
-    for module in (orientations, invariant):
-        monkeypatch.setattr(module, "_level_counts", wrong)
-    invariant.chi_polynomial.cache_clear()
-    try:
-        code, out, _ = run(capsys, "--format", "text", "verify", "--max-n", "2")
-    finally:
-        invariant.chi_polynomial.cache_clear()
+    monkeypatch.setattr(orientations, "_level_counts", wrong)
+    code, out, _ = run(capsys, "--format", "text", "verify", "--max-n", "2")
     assert code == 2
     lines = out.splitlines()
     assert "PASS corpus[0]: strict pairs = polynomial at n=0" in lines

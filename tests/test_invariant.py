@@ -23,6 +23,7 @@ from hyperchi import (
     chi_eval_negative,
     chi_on_formal_sum,
     chi_polynomial,
+    combinatorics,
     constrained_compositions,
     count_compatible_pairs,
     disjoint_union,
@@ -262,44 +263,28 @@ def test_defining_sum_places_nonempty_blocks_among_the_colors():
             assert chi_eval_definition(h, n) == poly(n), (h, n)
 
 
-@pytest.mark.parametrize("h", [_path(8), _cyclic_3_uniform(9)], ids=["P_8", "C3_9"])
+def _one_edge(k, edge):
+    labels = [f"v{i}" for i in range(k)]
+    return Hypergraph(labels, [labels[:edge]])
+
+
+# the sparse cases have few orientations or many isolated vertices, so chi
+# must not pay for every subset of the vertices
+@pytest.mark.parametrize(
+    "h",
+    [_path(8), _cyclic_3_uniform(9), _one_edge(20, 20), _one_edge(30, 2)],
+    ids=["P_8", "C3_9", "one_edge_on_20", "one_edge_and_28_isolated"],
+)
 def test_closed_form_from_cold_caches(h):
     chi_polynomial.cache_clear()
+    combinatorics._f_polynomial_cached.cache_clear()
+    combinatorics.power_sum_polynomial.cache_clear()
     start = time.perf_counter()
     poly = chi_polynomial(h)
     elapsed = time.perf_counter() - start
     assert poly.degree == len(h.vertices) and poly.leading_coefficient == 1
     assert (-1) ** len(h.vertices) * poly(-1) == sum(1 for _ in acyclic_orientations(h))
     assert elapsed < 2.0
-
-
-def _cycle(k):
-    labels = [f"v{i}" for i in range(k)]
-    return Hypergraph(labels, [{labels[i], labels[(i + 1) % k]} for i in range(k)])
-
-
-N = Polynomial([0, 1])
-
-
-def _falling(k):
-    out = Polynomial.ONE
-    for i in range(k):
-        out = out * (N - i)
-    return out
-
-
-@pytest.mark.parametrize(
-    "h, expected",
-    [
-        (_path(14), N * (N - 1) ** 13),
-        (_cycle(14), (N - 1) ** 14 + (N - 1)),
-        (_complete_graph(10), _falling(10)),
-    ],
-    ids=["P_14", "cycle_14", "K_10"],
-)
-def test_chromatic_closed_forms_on_larger_graphs(h, expected):
-    chi_polynomial.cache_clear()
-    assert chi_polynomial(h) == expected
 
 
 def test_whole_hypergraph_caches_are_bounded():

@@ -1,4 +1,5 @@
 import time
+from math import perm
 
 import pytest
 from conftest import (
@@ -214,3 +215,30 @@ def test_pair_counts_at_many_colors():
     assert loose == chi_eval_negative(c3_7, 40)
     assert strict == chi_polynomial(c3_7)(40)
     assert elapsed < 1.0
+
+
+def _graph(k, pairs):
+    labels = [f"v{i}" for i in range(k)]
+    return Hypergraph(labels, [{labels[i], labels[j]} for i, j in pairs])
+
+
+P_14 = _graph(14, [(i, i + 1) for i in range(13)])
+CYCLE_14 = _graph(14, [(i, (i + 1) % 14) for i in range(14)])
+K_10 = _graph(10, [(i, j) for i in range(10) for j in range(i)])
+
+
+@pytest.mark.parametrize(
+    "h, n, value",
+    [
+        (P_14, 3, 3 * 2**13),
+        (CYCLE_14, 3, 2**14 + 2),
+        (K_10, 9, 0),
+        (K_10, 11, perm(11, 10)),
+    ],
+    ids=["P_14", "cycle_14", "K_10_at_9", "K_10_at_11"],
+)
+def test_strict_pairs_on_larger_graphs_are_proper_colorings(h, n, value):
+    # on a graph a unique top in every edge means the ends differ, so the
+    # strict count is the chromatic polynomial: n(n-1)^13 on P_14,
+    # (n-1)^14 + (n-1) on the 14-cycle, n(n-1)...(n-9) on K_10
+    assert count_compatible_pairs(h, n, strict=True) == value

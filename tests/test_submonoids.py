@@ -31,6 +31,7 @@ from hyperchi import (
     chi_polynomial,
     chromatic_polynomial,
     colorings,
+    count_compatible_pairs,
     disjoint_union,
     is_compatible,
     is_strictly_compatible,
@@ -595,10 +596,19 @@ def test_single_path_partitioning_trees_hit_catalan():
 
 
 def test_path_polynomial_catalan_values():
-    for k in range(1, 10):
+    for k in range(1, 8):
         labels = [chr(ord("a") + i) for i in range(k)]
         alpha = PathFamily(labels, [tuple(labels)])
         assert (-1) ** k * path_polynomial(alpha)(-1) == comb(2 * k, k) // (k + 1)
+
+
+def test_path_tubes_reciprocal_value_is_catalan_up_to_ten_vertices():
+    # (-1)^k chi(-1) counts the compatible pairs with one colour, so the
+    # level count reaches path sizes whose closed form is too slow
+    for k in range(1, 11):
+        labels = [f"p{i}" for i in range(k)]
+        h = tubes(SimpleGraph(labels, zip(labels, labels[1:]))).to_hypergraph()
+        assert count_compatible_pairs(h, 1) == comb(2 * k, k) // (k + 1)
 
 
 def test_path_polynomial_is_multiplicative_over_paths():
