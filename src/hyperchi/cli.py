@@ -364,8 +364,29 @@ def _cmd_verify(args) -> int:
     return 2 if failures else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, with a hint when the input looks missing because it starts
+    with '-': inline ``-1e5`` reads as an unknown option, not as a number."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._tokens = sys.argv[1:] if args is None else list(args)
+        return super().parse_known_args(args, namespace)
+
+    def error(self, message):
+        # a token argparse reads as an option that no option is named by;
+        # tokens that read as negative numbers are arguments, like -2 in --at -2
+        if message.endswith("required: input"):
+            stray = [t for t in self._tokens if t.startswith("-") and t not in ("-", "--")
+                     and t not in self._option_string_actions
+                     and not self._negative_number_matcher.match(t)]
+            if stray:
+                message += (f" ({stray[0]} was read as an option; to pass it as"
+                            f" the input, write: {self.prog} -- {stray[0]})")
+        super().error(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hyperchi",
         description="Exact coloring invariants of hypergraphs and friends.",
     )

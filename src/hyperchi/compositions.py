@@ -11,8 +11,10 @@ The one cycle test, the bitmask backtracker ``_acyclic_heads``, lives
 here as the lowest module that needs it: ``is_acyclic_arcs`` runs it on
 arc sets and ``orientations`` on head choices of hypergraph edges.
 ``_allowed_blocks`` lists the blocks of a vertex mask that meet each edge
-at most once, the top colour classes the compatible-pair count peels, and
-``_components`` joins overlapping masks into connected components.
+at most once, the top colour classes the compatible-pair count peels,
+``_components`` joins overlapping masks into connected components, and
+``_pieces`` packs those components so the invariant and the pair counts,
+both multiplicative over disjoint unions, run on one piece at a time.
 
 Vertex labels are strings; every enumeration order is derived from the
 lexicographic order on labels so output is deterministic.
@@ -235,6 +237,36 @@ def _components(masks) -> list:
         apart.append((union, members))
         parts = apart
     return parts
+
+
+def _pieces(edges, width: int) -> tuple:
+    """The connected pieces of the wide edge masks, those of two or more
+    vertices, and the number of the width vertices that lie in no wide edge.
+
+    Each piece is a (masks, width) pair: its distinct wide edges with their
+    bits packed, in order, into the piece's own width.  A one-vertex edge
+    and a repeat of an edge change neither the invariant nor the
+    compatible-pair counts, so neither reaches a piece.
+    """
+    pieces = []
+    covered = 0
+    for union, members in _components({e for e in edges if e & (e - 1)}):
+        covered |= union
+        place, rest = {}, union  # vertex bit -> its bit in the piece
+        while rest:
+            v = rest & -rest
+            rest ^= v
+            place[v] = 1 << len(place)
+        masks = []
+        for e in members:
+            packed = 0
+            while e:
+                v = e & -e
+                e ^= v
+                packed |= place[v]
+            masks.append(packed)
+        pieces.append((masks, len(place)))
+    return pieces, width - covered.bit_count()
 
 
 def is_acyclic_arcs(vertices: Iterable[str], arcs: Iterable[tuple]) -> bool:

@@ -14,7 +14,11 @@ strict-chain power sum whose exponents are the sizes of the layers of
 non-head vertices swept up block by block.  The invariant is
 integer-valued, so those power sums are added as integer values at
 n = 0..d, d the number of vertices in edges, and the polynomial is
-interpolated from them once.  Evaluating the polynomial at -n and
+interpolated from them once.  The invariant is a character of the Hopf
+monoid, so it is multiplicative over disjoint unions: the expansion runs
+on each connected piece of the edges alone and the pieces' polynomials
+are multiplied, so the cost follows the largest piece rather than the
+interleavings of all of them.  Evaluating the polynomial at -n and
 multiplying by (-1)^|vertices| counts compatible pairs of acyclic
 orientations and colorings, which is the reciprocity law the test suite
 pins down.
@@ -29,6 +33,8 @@ from typing import Iterator, Optional, Union
 
 from .compositions import (
     SetComposition,
+    _acyclic_heads,
+    _pieces,
     colorings,
     enumerate_set_compositions,
     is_acyclic_arcs,
@@ -162,7 +168,29 @@ def chi_eval_colorings(h: Hypergraph, n: int) -> int:
 def chi_polynomial(h: Hypergraph) -> Polynomial:
     """Exact invariant polynomial via the acyclic-orientation expansion.
 
-    Isolated vertices contribute a factor n each.  For each acyclic
+    The invariant is a character, so the polynomial of a disjoint union is
+    the product of its parts' polynomials.  With two or more connected
+    pieces of wide edges (``_pieces``) each piece runs the closed form
+    alone, and each vertex in no wide edge multiplies by n; one piece, or
+    none, runs it on the whole hypergraph.  The work follows the pieces,
+    not the interleavings of their orientations and compositions.
+    """
+    labels, bit, edges = _bit_edges(h)
+    pieces, uncovered = _pieces(edges, len(labels))
+    if len(pieces) < 2:
+        heads = ([bit[v] for v in o] for o in acyclic_orientations(h))
+        return _closed_form(edges, len(labels), heads)
+    poly = Polynomial.ONE
+    for masks, width in pieces:
+        poly = poly * _closed_form(masks, width, _acyclic_heads(masks, masks, width))
+    return poly.shift(uncovered)
+
+
+def _closed_form(edges: list, width: int, orientations) -> Polynomial:
+    """The closed form for the edge masks on width vertices, over their
+    acyclic orientations given as lists of head bits.
+
+    Vertices in no edge contribute a factor n each.  For each acyclic
     orientation and each strictly constrained composition (P_1,...,P_l)
     of its heads, layer i collects the vertices of edges headed inside
     P_i that are neither heads nor already collected; the term is the
@@ -181,10 +209,8 @@ def chi_polynomial(h: Hypergraph) -> Polynomial:
     interpolation turns that list into the polynomial.  ``f_polynomial``
     gives the same power sums in Bernoulli form.
     """
-    _, bit, edges = _bit_edges(h)
     tally: dict = {}
-    for orientation in acyclic_orientations(h):
-        heads = [bit[v] for v in orientation]
+    for heads in orientations:
         head_set = 0
         for head in heads:
             head_set |= head
@@ -197,8 +223,11 @@ def chi_polynomial(h: Hypergraph) -> Polynomial:
     # Heads and layers are disjoint and every block holds a head, so each
     # tallied power sum has degree at most the number of covered vertices
     # and the sum is fixed by its integer values at n = 0..covered.
-    isolated = len(h.isolated_vertices())
-    points = len(h.vertices) - isolated + 1
+    covered = 0
+    for edge in edges:
+        covered |= edge
+    covered = covered.bit_count()
+    points = covered + 1
     chains = {(): [1] * points}  # exponent tuple -> its power sum at 0..points-1
 
     def chain(parts: tuple) -> list:
@@ -217,7 +246,7 @@ def chi_polynomial(h: Hypergraph) -> Polynomial:
     for exponents, count in tally.items():
         for k, value in enumerate(chain(exponents)):
             totals[k] += count * value
-    return Polynomial.from_values(totals).shift(isolated)
+    return Polynomial.from_values(totals).shift(width - covered)
 
 
 def _tally_layers(before, reach, head_set, placed, used, exponents, tally) -> None:

@@ -19,7 +19,13 @@ from math import comb, factorial
 from typing import Iterator, Mapping, Sequence
 
 # colorings is re-exported, so orientations.colorings keeps working
-from .compositions import _acyclic_heads, _allowed_blocks, _components, colorings  # noqa: F401
+from .compositions import (  # noqa: F401
+    _acyclic_heads,
+    _allowed_blocks,
+    _components,
+    _pieces,
+    colorings,
+)
 from .hypergraph import Hypergraph, _bit_edges
 
 
@@ -108,23 +114,35 @@ def count_compatible_pairs(h: Hypergraph, n: int, strict: bool = False) -> int:
     chains of length k ending at W the product of A(D_{i-1}, D_i), and
     A(lo, hi) counts the acyclic head choices, outside lo, of the edges
     inside hi but not inside lo.  ``_level_counts`` finds the c_k(V).
+
+    The pairs of a disjoint union are the pairs of its parts side by
+    side, so the count is the product of that sum over the connected
+    pieces of the wide edges (``_pieces``), times n for each vertex in no
+    wide edge: such a vertex takes any colour and heads at most
+    one-vertex edges.  The work follows the largest piece, not the
+    vertex count.
     """
     if n < 0:
         raise ValueError("number of colors must be >= 0")
     labels, _, edges = _bit_edges(h)
-    levels = _level_counts(edges, len(labels), n, strict)
-    return sum(comb(n, k) * count for k, count in enumerate(levels))
+    pieces, uncovered = _pieces(edges, len(labels))
+    total = n**uncovered
+    for masks, width in pieces:
+        levels = _level_counts(masks, width, n, strict)
+        total *= sum(comb(n, k) * count for k, count in enumerate(levels))
+    return total
 
 
-def _level_counts(edges: list, width: int, n: int, strict: bool) -> list:
+def _level_counts(wide: list, width: int, n: int, strict: bool) -> list:
     """[c_0(V), ..., c_m(V)] of ``count_compatible_pairs``, m = min(n, width),
-    for the edge masks on width vertices.
+    for one piece of ``_pieces``: its distinct wide edge masks on width
+    vertices.
 
     A(lo, hi) depends only on the set of distinct wide traces e - lo,
     those of two or more vertices: a one-vertex trace has a forced head
     and adds no arc, and two equal traces must take the same head, or
-    their heads point at each other and close a 2-cycle.  So one-vertex
-    and repeated edges are dropped first.
+    their heads point at each other and close a 2-cycle.  That is why
+    ``_pieces`` drops one-vertex and repeated edges.
 
     Strict: A(lo, hi) is 1 when hi - lo is an allowed block of hi, one
     that meets every edge inside hi at most once (``_allowed_blocks``),
@@ -145,7 +163,6 @@ def _level_counts(edges: list, width: int, n: int, strict: bool) -> list:
     order of the vertices that extends one picks its heads.
     """
     full = (1 << width) - 1
-    wide = list({e for e in edges if e & (e - 1)})
     slot = (width**width * factorial(width)).bit_length()
     chains = [0] * (full + 1)  # chains[W]: packed c_k(W)
     chains[0] = 1

@@ -287,6 +287,45 @@ def test_verify_strict_line_fails_when_the_strict_level_counts_are_wrong(capsys,
         assert f"FAIL corpus[0]: strict pairs = polynomial at n={n}" in lines
 
 
+TWO_PIECES = '{"vertices":["a","b","c","d"],"edges":[["a","b"],["c","d"]]}'
+
+
+@pytest.mark.parametrize(
+    "fault, source",
+    [
+        (lambda pieces, uncovered: (pieces, 0), None),  # corpus[1] has 3 isolated
+        (lambda pieces, uncovered: (pieces[1:], uncovered), TWO_PIECES),
+    ],
+    ids=["no_factor_for_uncovered", "one_piece_dropped"],
+)
+def test_verify_strict_line_fails_when_the_pair_split_is_wrong(capsys, monkeypatch,
+                                                                fault, source):
+    # the pair counts multiply over the pieces, the defining sum does not
+    # split, so the strict line sees a lost factor or piece
+    import hyperchi.orientations as orientations
+
+    right = orientations._pieces
+    monkeypatch.setattr(orientations, "_pieces", lambda edges, width: fault(*right(edges, width)))
+    argv = ["verify", "--max-n", "2"] + ([source] if source else [])
+    code, out, _ = run(capsys, "--format", "text", *argv)
+    assert code == 2
+    name = source or "corpus[1]"
+    assert f"FAIL {name}: strict pairs = polynomial at n=2" in out.splitlines()
+
+
+def test_inline_input_that_reads_as_an_option_gets_a_hint(capsys):
+    code, out, err = run(capsys, "chi", "-1e5")
+    assert code == 1 and out == ""
+    assert "-1e5 was read as an option" in err and "hyperchi chi -- -1e5" in err
+    # after -- it is the input, a JSON number and so not an object
+    code, out, err = run(capsys, "chi", "--", "-1e5")
+    assert code == 1 and out == "" and err == "error: input must be a JSON object\n"
+    # no hint without a stray token: -2 is the value of --at
+    for argv in (["chi"], ["chi", "--at", "-2"]):
+        code, _, err = run(capsys, *argv)
+        assert code == 1 and "required: input" in err and "read as an option" not in err
+
+
 def test_invalid_input_exit_code(capsys):
     code, _, err = run(capsys, "chi", '{"vertices":["a"],"edges":[[]]}')
     assert code == 1 and "empty" in err

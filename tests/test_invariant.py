@@ -5,6 +5,7 @@ import pytest
 from conftest import (
     chi_eval_definition_by_fold,
     chi_polynomial_filtered,
+    count_pairs_by_levels,
     exhaustive_hypergraphs,
     random_hypergraphs,
     small_hypergraphs,
@@ -268,12 +269,23 @@ def _one_edge(k, edge):
     return Hypergraph(labels, [labels[:edge]])
 
 
-# the sparse cases have few orientations or many isolated vertices, so chi
-# must not pay for every subset of the vertices
+def _copies(h, k):
+    """k disjoint copies of h."""
+    union = Hypergraph(())
+    for i in range(k):
+        union = disjoint_union(union, h.relabel({v: f"{v}_{i}" for v in h.vertices}))
+    return union
+
+
+# the sparse cases have few orientations or many isolated vertices, and the
+# disjoint ones many interleavings of their pieces, so chi must not pay for
+# every subset of the vertices nor for every interleaving
 @pytest.mark.parametrize(
     "h",
-    [_path(8), _cyclic_3_uniform(9), _one_edge(20, 20), _one_edge(30, 2)],
-    ids=["P_8", "C3_9", "one_edge_on_20", "one_edge_and_28_isolated"],
+    [_path(8), _cyclic_3_uniform(9), _one_edge(20, 20), _one_edge(30, 2),
+     _copies(_path(6), 2), _copies(_path(4), 3)],
+    ids=["P_8", "C3_9", "one_edge_on_20", "one_edge_and_28_isolated",
+         "two_P_6", "three_P_4"],
 )
 def test_closed_form_from_cold_caches(h):
     chi_polynomial.cache_clear()
@@ -298,3 +310,28 @@ def test_whole_hypergraph_caches_are_bounded():
         info = cached.cache_info()
         assert info.maxsize == 1024 and info.currsize == 1024
         cached.cache_clear()
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_hypergraphs(max_vertices=3, max_edges=3),
+       small_hypergraphs(max_vertices=3, max_edges=3),
+       st.integers(0, 2), st.lists(st.integers(0, 7), max_size=2))
+@example(Hypergraph("ab", [{"a", "b"}]), Hypergraph("ab", [{"a", "b"}]), 0, [])
+@example(Hypergraph("abc", [{"a", "b", "c"}, {"a", "b"}]),
+         Hypergraph("ab", [{"a", "b"}, {"a", "b"}]), 2, [0, 5])
+def test_disjoint_unions_split_into_pieces(h1, h2, extra, picks):
+    # the invariant and both pair counts are multiplicative, so the engines
+    # run piece by piece; the oracles run on the whole hypergraph
+    left = h1.relabel({v: "l" + v for v in h1.vertices})
+    right = h2.relabel({v: "r" + v for v in h2.vertices})
+    union = disjoint_union(left, right)
+    assert chi_polynomial(union) == chi_polynomial(left) * chi_polynomial(right)
+    vertices = sorted(union.vertices | {f"x{i}" for i in range(extra)})
+    singles = [{vertices[p % len(vertices)]} for p in picks] if vertices else []
+    h = Hypergraph(vertices, [*union.edges, *singles])
+    assert chi_polynomial(h) == chi_polynomial_filtered(h), h
+    for n in range(4):
+        for strict in (False, True):
+            assert count_compatible_pairs(h, n, strict=strict) == count_pairs_by_levels(
+                h, n, strict=strict
+            ), (h, n, strict)

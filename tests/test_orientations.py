@@ -217,6 +217,20 @@ def test_pair_counts_at_many_colors():
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("isolated", [11, 20])
+@pytest.mark.parametrize("strict", [False, True])
+def test_pair_counts_on_one_edge_with_isolated_vertices(isolated, strict):
+    # a vertex in no wide edge is a factor n, so the count runs on the edge
+    # alone whatever the number of isolated vertices
+    labels = [f"v{i}" for i in range(isolated + 2)]
+    h = Hypergraph(labels, [labels[:2]])
+    start = time.perf_counter()
+    count = count_compatible_pairs(h, 3, strict=strict)
+    elapsed = time.perf_counter() - start
+    assert count == (chi_polynomial(h)(3) if strict else chi_eval_negative(h, 3))
+    assert elapsed < 2.0
+
+
 def _graph(k, pairs):
     labels = [f"v{i}" for i in range(k)]
     return Hypergraph(labels, [{labels[i], labels[j]} for i, j in pairs])

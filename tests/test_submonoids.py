@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations, product
 from math import comb
 
@@ -616,6 +617,21 @@ def test_path_polynomial_is_multiplicative_over_paths():
     left = path_polynomial(PathFamily("abc", [("a", "b", "c")]))
     right = path_polynomial(PathFamily("de", [("d", "e")]))
     assert path_polynomial(alpha) == left * right
+
+
+def test_path_polynomial_of_disjoint_paths_from_cold_caches():
+    # each path is a connected piece of the tube hypergraph, so chi runs
+    # two 5-vertex closed forms, not one over all their interleavings
+    a, b = [f"a{i}" for i in range(5)], [f"b{i}" for i in range(5)]
+    alpha = PathFamily(a + b, [a, b])
+    chi_polynomial.cache_clear()
+    start = time.perf_counter()
+    poly = path_polynomial(alpha)
+    elapsed = time.perf_counter() - start
+    single = path_polynomial(PathFamily(a, [a]))
+    assert poly == single * single
+    assert poly(-1) == 42**2  # the fifth Catalan number, once per path
+    assert elapsed < 2.0
 
 
 # ---------------------------------------------------------------------------
